@@ -27,7 +27,6 @@ OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
                  static_cast<size_t>(std::max<Chronon>(num_chronons, 0))),
       retire_ring_(&arena_,
                    static_cast<size_t>(std::max<Chronon>(num_chronons, 0))),
-      track_active_mirror_(policy != nullptr && policy->ObservesActiveSet()),
       value_stable_(policy != nullptr &&
                     policy->ValueStableBetweenCaptures()),
       probed_now_(num_resources, 0),
@@ -63,8 +62,6 @@ OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
   const size_t board = static_cast<size_t>(kMaxBoundedTopC) + 1;
   for (auto& kept : shard_topc_) kept.reserve(board);
   shard_touched_.resize(shards);
-  shard_one_.resize(shards);
-  shard_one_set_.assign(shards, 0);
   shard_live_end_.assign(shards, 0);
   merged_.reserve(shards * board);
 
@@ -81,7 +78,6 @@ OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
       slot_version_.reserve(hints.expected_active_eis);
     }
     expiry_scratch_.reserve(hints.expected_active_eis);
-    if (track_active_mirror_) active_mirror_.reserve(hints.expected_active_eis);
   }
   if (options_.fault_injector != nullptr && hints.expected_attempts > 0) {
     attempt_log_.reserve(hints.expected_attempts);
@@ -318,15 +314,15 @@ Status OnlineScheduler::RemoveCei(CeiId id, Chronon now) {
   ++stats_.ceis_cancelled;
 
   // Incrementally unwind the candidate index. The slot columns, top-C
-  // boards, value memos, and active mirror all screen on LiveCandidate /
-  // !dead, so the dead flag alone removes the CEI from ranking as of this
-  // chronon; the per-chronon event-ring entries are additionally tombstoned
-  // so cancel-heavy runs compact them away (amortized O(1)) instead of
-  // dragging them to their drain chronon. Tombstones are noted only where
-  // ring membership is certain — under chronon-gapped stepping a bucket in
-  // the gap may or may not have drained, and an uncredited entry merely
-  // waits for its drain's liveness filter (correctness never depends on
-  // the tombstones; see the churn-equivalence suite).
+  // boards, value memos, and the policy's BeginChronon view all screen on
+  // IsLive() / !dead, so the dead flag alone removes the CEI from ranking
+  // as of this chronon; the per-chronon event-ring entries are additionally
+  // tombstoned so cancel-heavy runs compact them away (amortized O(1))
+  // instead of dragging them to their drain chronon. Tombstones are noted
+  // only where ring membership is certain — under chronon-gapped stepping
+  // a bucket in the gap may or may not have drained, and an uncredited
+  // entry merely waits for its drain's liveness filter (correctness never
+  // depends on the tombstones; see the churn-equivalence suite).
   // Two passes: note every tombstone before any compaction runs. A
   // compaction's keep filter evicts ALL of this now-dead CEI's entries in
   // the bucket it rewrites — compacting after the first sibling's note
@@ -418,9 +414,6 @@ void OnlineScheduler::AdmitActive(const CandidateEi& cand) {
   // leave the list only through capture, CEI death, or the ranking pass's
   // stale-entry pruning — exactly when the legacy compaction would have
   // dropped them.
-  if (track_active_mirror_) {
-    active_mirror_.push_back(cand);  // hotpath-alloc-ok: amortized growth
-  }
 }
 
 void OnlineScheduler::Activate(Chronon now) {
@@ -505,20 +498,6 @@ void OnlineScheduler::ProcessExpiries(Chronon from, Chronon to) {
   }
 }
 
-void OnlineScheduler::CompactMirror(Chronon now) {
-  // Byte-for-byte the legacy Compact() filter: the mirror must present
-  // observing policies exactly the flat active_ vector they used to see.
-  auto keep = [now](const CandidateEi& cand) {
-    const CeiState& s = *cand.state;
-    return !s.dead && !s.Complete() && !s.captured[cand.ei_index] &&
-           !s.failed[cand.ei_index] && cand.ei().finish >= now;
-  };
-  active_mirror_.erase(
-      std::remove_if(active_mirror_.begin(), active_mirror_.end(),
-                     [&](const CandidateEi& c) { return !keep(c); }),
-      active_mirror_.end());
-}
-
 bool OnlineScheduler::RankedBefore(const Ranked& a, const Ranked& b,
                                    bool split_started) {
   if (split_started && a.started != b.started) {
@@ -554,8 +533,7 @@ void OnlineScheduler::EnsureRankTables() {
 }
 
 void OnlineScheduler::RankShard(int shard, Chronon now, bool compute_values,
-                                bool single_best, size_t top_c,
-                                bool check_attempted) {
+                                size_t top_c, bool check_attempted) {
   const size_t n = slot_cand_.size();
   const size_t begin = std::min(static_cast<size_t>(shard) * chunk_size_, n);
   const size_t end = std::min(begin + chunk_size_, n);
@@ -591,36 +569,8 @@ void OnlineScheduler::RankShard(int shard, Chronon now, bool compute_values,
            (!faulty || avail_now_[r]);
   };
 
-  if (compute_values && single_best) {
-    // C = 1 with uniform costs (the paper's canonical setting): the greedy
-    // walk probes exactly the minimum-ranked eligible candidate, so a
-    // running best per shard replaces the per-resource tables.
-    Ranked best_one{};
-    bool has_one = false;
-    size_t w = begin;
-    for (size_t i = begin; i < end; ++i) {
-      const CandidateEi cand = slot_cand_[i];
-      if (!LiveCandidate(cand)) continue;  // lazy stale-entry removal
-      const ResourceId r = slot_resource_[i];
-      if (eligible(r)) {
-        const Ranked cur{cand, value_of(i, cand, r), slot_finish_[i], r,
-                         split_started && cand.state->Started()};
-        if (!has_one || RankedBefore(cur, best_one, split_started)) {
-          best_one = cur;
-          has_one = true;
-        }
-      }
-      if (w != i) MoveSlot(w, i);
-      ++w;
-    }
-    shard_one_[static_cast<size_t>(shard)] = best_one;
-    shard_one_set_[static_cast<size_t>(shard)] = has_one ? 1 : 0;
-    shard_live_end_[static_cast<size_t>(shard)] = w;
-    return;
-  }
-
   if (compute_values && top_c > 0) {
-    // Bounded top-C (uniform costs, 1 < C <= kMaxBoundedTopC): keep the C
+    // Bounded top-C (uniform costs, C <= kMaxBoundedTopC): keep the C
     // best-ranked candidates over distinct resources on a small board
     // instead of a per-resource table. Sound because RankedBefore is a
     // position-independent strict total order: a candidate skipped or
@@ -631,54 +581,42 @@ void OnlineScheduler::RankShard(int shard, Chronon now, bool compute_values,
     // shard-best survives on the board exactly.
     std::vector<Ranked>& kept = shard_topc_[static_cast<size_t>(shard)];
     kept.clear();
-    auto worst_of = [&]() {
-      size_t worst = 0;
-      for (size_t j = 1; j < kept.size(); ++j) {
-        if (RankedBefore(kept[worst], kept[j], split_started)) worst = j;
-      }
-      return worst;
-    };
-    size_t worst = 0;  // valid only while the board is full
+    // Once the board is full, `bar` is a copy of its worst entry: the
+    // common case, a candidate that cannot beat it, is rejected against a
+    // local without touching the board.
+    bool full = false;
+    size_t worst = 0;
+    Ranked bar{};
     size_t w = begin;
     for (size_t i = begin; i < end; ++i) {
       const CandidateEi cand = slot_cand_[i];
-      if (!LiveCandidate(cand)) continue;  // lazy stale-entry removal
+      if (!cand.IsLive()) continue;  // lazy stale-entry removal
       const ResourceId r = slot_resource_[i];
       if (eligible(r)) {
-        const bool full = kept.size() == top_c;
-        // Cheap reject first: a full board whose worst entry outranks the
-        // candidate cannot change (not even via resource dedup — the
-        // board's entry for this resource, if any, outranks it too).
-        bool consider = !full;
-        if (full) {
-          const Ranked probe{cand, value_of(i, cand, r), slot_finish_[i], r,
-                             split_started && cand.state->Started()};
-          consider = RankedBefore(probe, kept[worst], split_started);
-          if (consider) {
-            size_t j = 0;
-            while (j < kept.size() && kept[j].resource != r) ++j;
-            if (j < kept.size()) {
-              if (RankedBefore(probe, kept[j], split_started)) {
-                kept[j] = probe;
-                worst = worst_of();
-              }
-            } else {
-              kept[worst] = probe;
-              worst = worst_of();
-            }
-          }
-        } else {
-          const Ranked cur{cand, value_of(i, cand, r), slot_finish_[i], r,
-                           split_started && cand.state->Started()};
+        const Ranked cur{cand, value_of(i, cand, r), slot_finish_[i], r,
+                         split_started && cand.state->Started()};
+        // A full board whose worst entry outranks the candidate cannot
+        // change — not even via resource dedup: the board's entry for
+        // this resource, if any, outranks it too.
+        if (!full || RankedBefore(cur, bar, split_started)) {
           size_t j = 0;
           while (j < kept.size() && kept[j].resource != r) ++j;
           if (j < kept.size()) {
             if (RankedBefore(cur, kept[j], split_started)) kept[j] = cur;
+          } else if (full) {
+            kept[worst] = cur;
           } else {
             // The board is reserved to kMaxBoundedTopC+1 in the
             // constructor, so this never reallocates.
             kept.push_back(cur);  // hotpath-alloc-ok: board reserved in ctor
-            if (kept.size() == top_c) worst = worst_of();
+            full = kept.size() == top_c;
+          }
+          if (full) {
+            worst = 0;
+            for (size_t k = 1; k < kept.size(); ++k) {
+              if (RankedBefore(kept[worst], kept[k], split_started)) worst = k;
+            }
+            bar = kept[worst];
           }
         }
       }
@@ -703,7 +641,7 @@ void OnlineScheduler::RankShard(int shard, Chronon now, bool compute_values,
   size_t w = begin;
   for (size_t i = begin; i < end; ++i) {
     const CandidateEi cand = slot_cand_[i];
-    if (!LiveCandidate(cand)) continue;  // lazy stale-entry removal
+    if (!cand.IsLive()) continue;  // lazy stale-entry removal
     if (compute_values) {
       const ResourceId r = slot_resource_[i];
       if (eligible(r)) {
@@ -724,6 +662,50 @@ void OnlineScheduler::RankShard(int shard, Chronon now, bool compute_values,
     ++w;
   }
   shard_live_end_[static_cast<size_t>(shard)] = w;
+}
+
+bool OnlineScheduler::IssueProbe(ResourceId resource, Chronon now,
+                                 double cost) {
+  attempted_now_[resource] = 1;
+  ++stats_.probes_issued;
+  policy_->NotifyProbed(resource, now);
+  FaultInjector* injector = options_.fault_injector;
+  if (injector == nullptr) return true;
+  ResourceHealth& h = health_[resource];
+  if (h.breaker == ResourceHealth::Breaker::kOpen) {
+    // The cooldown elapsed (ResourceAvailable); this attempt is the
+    // half-open trial.
+    h.breaker = ResourceHealth::Breaker::kHalfOpen;
+  }
+  const ProbeOutcome outcome = injector->OnProbe(resource, now);
+  uint8_t inc_flags = 0;
+  if (track_incidents_) {
+    if (detector_ != nullptr && detector_->OpenFor(resource)) {
+      // A covering fleet breaker is open yet the probe went out: by
+      // construction this is a domain's end-of-incident trial. (A due trial
+      // keeps its domain open until its own success is recorded, so trials
+      // issued ahead of the ranked walk always land here.)
+      inc_flags |= ProbeAttempt::kDetectorOpen;
+      ++stats_.incident_trial_probes;
+    }
+    if (injector->ResourceInIncident(resource, now)) {
+      inc_flags |= ProbeAttempt::kFleetIncident;
+    }
+  }
+  // hotpath-alloc-ok: fault-path log, reservable via sizing hints
+  attempt_log_.push_back({resource, now, outcome, inc_flags});
+  const bool success = ProbeSucceeded(outcome);
+  RecordOutcome(resource, now, success, cost);
+  if (detector_ != nullptr) detector_->RecordAttempt(resource, now, success);
+  return success;
+}
+
+Status OnlineScheduler::RecordProbe(ResourceId resource, Chronon now,
+                                    Schedule* schedule) {
+  probed_now_[resource] = 1;
+  r_ids_scratch_.push_back(resource);  // hotpath-alloc-ok: retained capacity
+  return schedule != nullptr ? schedule->AddProbe(resource, now)
+                             : Status::OK();
 }
 
 Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
@@ -750,7 +732,6 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
   // then admit this chronon's activations.
   ProcessExpiries(expiry_cursor_ + 1, now - 1);
   Activate(now);
-  if (track_active_mirror_) CompactMirror(now);
 
   // --- Server pushes: free captures, no budget consumed. ---
   pushed_now_scratch_.clear();
@@ -765,10 +746,11 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
   stats_.activate_seconds += phase.ElapsedSeconds();
 
   phase.Reset();
-  // Observing policies get the exact legacy active vector; everyone else an
-  // empty one (they declared they never read it).
-  policy_->BeginChronon(track_active_mirror_ ? active_mirror_ : empty_active_,
-                        now);
+  // The policy sees the slot list before this chronon's rank pass prunes
+  // it: its IsLive() entries are exactly the active set, in activation
+  // order (the expiry catch-up above already failed every EI whose window
+  // closed before `now`).
+  policy_->BeginChronon(slot_cand_, now);
 
   // --- probeEIs: greedy selection of resources within the budget. One
   // fused pass compacts the flat candidate list and computes each
@@ -805,26 +787,8 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
       const double cost = uniform_costs ? 1.0 : options_.resource_costs[r];
       if (cost_used + cost > capacity) break;
       cost_used += cost;
-      attempted_now_[r] = 1;
       ++attempts;
-      ++stats_.probes_issued;
-      policy_->NotifyProbed(r, now);
-      ResourceHealth& h = health_[r];
-      if (h.breaker == ResourceHealth::Breaker::kOpen) {
-        h.breaker = ResourceHealth::Breaker::kHalfOpen;
-      }
-      const ProbeOutcome outcome = options_.fault_injector->OnProbe(r, now);
-      uint8_t inc_flags = ProbeAttempt::kDetectorOpen;  // a trial is open
-      ++stats_.incident_trial_probes;
-      if (options_.fault_injector->ResourceInIncident(r, now)) {
-        inc_flags |= ProbeAttempt::kFleetIncident;
-      }
-      // hotpath-alloc-ok: fault-path log, reservable via sizing hints
-      attempt_log_.push_back({r, now, outcome, inc_flags});
-      const bool success = ProbeSucceeded(outcome);
-      RecordOutcome(r, now, success, cost);
-      detector_->RecordAttempt(r, now, success);
-      if (!success) continue;  // budget spent, nothing captured
+      if (!IssueProbe(r, now, cost)) continue;  // budget spent, no capture
       // A successful trial enters the schedule only when it can legally
       // capture — some live candidate EI on the resource has a window
       // containing `now`. Otherwise it was a pure health check: the
@@ -832,20 +796,10 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
       // holds only window-legal probes (AuditFaultRun exempts exactly
       // these successes from the schedule/log agreement).
       bool capturable = false;
-      for (size_t i = 0; i < slot_cand_.size(); ++i) {
-        if (slot_resource_[i] != r) continue;
-        const CandidateEi& cand = slot_cand_[i];
-        if (LiveCandidate(cand) && cand.ei().Contains(now)) {
-          capturable = true;
-          break;
-        }
+      for (size_t i = 0; i < slot_cand_.size() && !capturable; ++i) {
+        capturable = slot_resource_[i] == r && slot_cand_[i].IsLegalAt(now);
       }
-      if (!capturable) continue;
-      probed_now_[r] = 1;
-      r_ids_scratch_.push_back(r);  // hotpath-alloc-ok: retained capacity
-      if (schedule != nullptr) {
-        WEBMON_RETURN_IF_ERROR(schedule->AddProbe(r, now));
-      }
+      if (capturable) WEBMON_RETURN_IF_ERROR(RecordProbe(r, now, schedule));
     }
   }
 
@@ -855,15 +809,13 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
       budget, static_cast<int64_t>(num_resources_) + 1));
   if (n > 0) {
     const bool compute_values = budget > 0;
-    const bool single_best = uniform_costs && budget == 1;
-    const bool bounded =
-        uniform_costs && budget > 1 && budget <= kMaxBoundedTopC;
+    const bool bounded = uniform_costs && budget <= kMaxBoundedTopC;
     // Whether anything was contacted before the rank phase (pushes, fleet
     // trials). Usually nothing was, and the scan skips the per-candidate
     // attempted_now_ lookup.
     const bool check_attempted = !pushed_now_scratch_.empty() || attempts > 0;
     ++rank_epoch_;
-    if (compute_values && !single_best && !bounded) EnsureRankTables();
+    if (compute_values && !bounded) EnsureRankTables();
     if (compute_values && !health_.empty()) {
       const bool no_retries = RetryBudgetExhausted();
       // Hoist the fault gates out of the scan: availability and deadline
@@ -897,14 +849,12 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
       // and the attempted mask are read-only here. The pool joins before
       // the stitch and merge, so nothing below observes concurrency and the
       // thread count cannot alter the schedule.
-      pool_->ParallelFor(num_shards_, [this, now, compute_values, single_best,
+      pool_->ParallelFor(num_shards_, [this, now, compute_values,
                                        shard_top_c, check_attempted](int s) {
-        RankShard(s, now, compute_values, single_best, shard_top_c,
-                  check_attempted);
+        RankShard(s, now, compute_values, shard_top_c, check_attempted);
       });
     } else {
-      RankShard(0, now, compute_values, single_best, shard_top_c,
-                check_attempted);
+      RankShard(0, now, compute_values, shard_top_c, check_attempted);
     }
     // Stitch the per-chunk compactions back into one contiguous list
     // (stable: chunk order is activation order). No pruned slots -> no
@@ -928,20 +878,7 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
     }
 
     if (compute_values) {
-      if (single_best) {
-        // Min over the shards' running minima = the global minimum: the
-        // comparator is a position-independent strict total order.
-        bool has = false;
-        Ranked best{};
-        for (size_t s = 0; s < shards; ++s) {
-          if (!shard_one_set_[s]) continue;
-          if (!has || RankedBefore(shard_one_[s], best, split_started)) {
-            best = shard_one_[s];
-            has = true;
-          }
-        }
-        if (has) merged_.push_back(best);  // hotpath-alloc-ok: reserved
-      } else if (bounded) {
+      if (bounded) {
         // Concatenate the shard boards (<= shards * C entries), order them
         // globally, then keep the first entry per resource until C
         // resources are selected. Every true top-C resource's global best
@@ -1070,48 +1007,10 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
         continue;
       }
       cost_used += cost;
-      attempted_now_[r] = 1;
       ++attempts;
-      ++stats_.probes_issued;
-      policy_->NotifyProbed(r, now);
-
-      bool success = true;
-      if (options_.fault_injector != nullptr) {
-        ResourceHealth& h = health_[r];
-        if (h.breaker == ResourceHealth::Breaker::kOpen) {
-          // The cooldown elapsed (ResourceAvailable); this attempt is the
-          // half-open trial.
-          h.breaker = ResourceHealth::Breaker::kHalfOpen;
-        }
-        const ProbeOutcome outcome =
-            options_.fault_injector->OnProbe(r, now);
-        uint8_t inc_flags = 0;
-        if (track_incidents_) {
-          if (detector_ != nullptr && detector_->OpenFor(r)) {
-            // The breaker is open yet the probe went out: by construction
-            // this is the chronon's end-of-incident trial.
-            inc_flags |= ProbeAttempt::kDetectorOpen;
-            ++stats_.incident_trial_probes;
-          }
-          if (options_.fault_injector->ResourceInIncident(r, now)) {
-            inc_flags |= ProbeAttempt::kFleetIncident;
-          }
-        }
-        // hotpath-alloc-ok: fault-path log, reservable via sizing hints
-        attempt_log_.push_back({r, now, outcome, inc_flags});
-        success = ProbeSucceeded(outcome);
-        RecordOutcome(r, now, success, cost);
-        if (detector_ != nullptr) detector_->RecordAttempt(r, now, success);
-      }
-      if (!success) continue;  // budget spent, nothing captured
-
-      probed_now_[r] = 1;
-      r_ids_scratch_.push_back(r);  // hotpath-alloc-ok: retained capacity
-      if (schedule != nullptr) {
-        WEBMON_RETURN_IF_ERROR(schedule->AddProbe(r, now));
-      }
+      if (!IssueProbe(r, now, cost)) continue;  // budget spent, no capture
+      WEBMON_RETURN_IF_ERROR(RecordProbe(r, now, schedule));
     }
-
   }
   // probeEIs contract: the chronon's budget C_j is never exceeded,
   // whether budget counts probes or (varying-cost extension) cost units —
@@ -1141,11 +1040,8 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
     for (size_t i = 0; i < live; ++i) {
       if (!probed_now_[slot_resource_[i]]) continue;
       const CandidateEi& cand = slot_cand_[i];
+      if (!cand.IsLive()) continue;
       CeiState& s = *cand.state;
-      if (s.dead || s.Complete() || s.captured[cand.ei_index] ||
-          s.failed[cand.ei_index]) {
-        continue;
-      }
       // A capture is only legal inside the EI's window [T_s, T_f].
       WEBMON_DCHECK(cand.ei().Contains(now))
           << "capturing EI " << cand.ei().ToString() << " outside its window";
@@ -1235,7 +1131,7 @@ size_t OnlineScheduler::NumCandidateCeis() const {
 size_t OnlineScheduler::NumActiveEis() const {
   size_t live = 0;
   for (const CandidateEi& cand : slot_cand_) {
-    if (LiveCandidate(cand)) ++live;
+    if (cand.IsLive()) ++live;
   }
   return live;
 }

@@ -88,8 +88,7 @@ class IncidentDetector;
 /// otherwise shows up in the per-phase timers over the first few chronons.
 struct SchedulerSizingHints {
   /// Expected peak number of simultaneously active candidate EIs: sizes the
-  /// flat slot columns, the expiry scratch, and (for observing policies)
-  /// the active mirror.
+  /// flat slot columns and the expiry scratch.
   size_t expected_active_eis = 0;
   /// Expected total probe attempts over the run: pre-reserves the attempt
   /// log (only allocated when a fault injector is attached).
@@ -365,19 +364,8 @@ class OnlineScheduler {
   static bool RankedBefore(const Ranked& a, const Ranked& b,
                            bool split_started);
 
-  // True iff the candidate may still be probed some chronon (its CEI is
-  // live and unsatisfied, the EI uncaptured and unfailed). Expiry
-  // processing marks out-of-window EIs failed, so liveness needs no window
-  // check here.
-  static bool LiveCandidate(const CandidateEi& cand) {
-    const CeiState& s = *cand.state;
-    return !s.dead && !s.Complete() && !s.captured[cand.ei_index] &&
-           !s.failed[cand.ei_index];
-  }
-
   // Indexes `cand` as active: assigns its activation seq, appends it to the
-  // flat slot columns and its finish chronon's expiry bucket (and the
-  // active mirror when the policy observes the active set).
+  // flat slot columns and its finish chronon's expiry bucket.
   void AdmitActive(const CandidateEi& cand);
   // Activates EIs whose start chronon is `now`.
   void Activate(Chronon now);
@@ -389,9 +377,6 @@ class OnlineScheduler {
   // [cursor+1, now-1] at step start (chronon-gap coverage) and [now, now]
   // after the capture sweep (the legacy end-of-step expiry).
   void ProcessExpiries(Chronon from, Chronon to);
-  // Removes entries the legacy Compact would drop from the active mirror
-  // (only maintained for ObservesActiveSet policies).
-  void CompactMirror(Chronon now);
   // compact_terminal_states: schedules states_[index] (just turned
   // terminal) for reclamation at its release chronon — the last chronon at
   // which any event-ring bucket may still hold a reference to the state
@@ -417,15 +402,14 @@ class OnlineScheduler {
   // contiguous range of the slot columns, compacts live entries in place
   // (stable, writing only across gaps), and — when `compute_values` —
   // computes policy values (reusing the memo columns where legal) and
-  // tracks candidates for selection. Three selection modes, all provably
+  // tracks candidates for selection. Two selection modes, both provably
   // schedule-identical (see RankedBefore):
-  //   single_best — C = 1 with uniform costs (the paper's canonical
-  //     setting): one running minimum per shard.
-  //   bounded (top_c > 0) — uniform costs, 1 < C <= kMaxBoundedTopC: a
-  //     C-entry per-shard board with linear-scan resource dedup; a
-  //     candidate that cannot beat the board's worst entry is skipped
-  //     outright, so the per-resource tables are never touched (a resource
-  //     evicted or skipped that way is provably outside the global top-C).
+  //   bounded (top_c > 0) — uniform costs, C <= kMaxBoundedTopC: a C-entry
+  //     per-shard board with linear-scan resource dedup; a candidate that
+  //     cannot beat the board's worst entry is skipped outright, so the
+  //     per-resource tables are never touched (a resource evicted or
+  //     skipped that way is provably outside the global top-C). At the
+  //     paper's canonical C = 1 the board is one running minimum.
   //   tables (top_c == 0) — varying costs or large C: each resource's best
   //     in the shard's epoch-stamped partial-best table.
   // `check_attempted` is false when no resource was contacted before the
@@ -433,8 +417,19 @@ class OnlineScheduler {
   // the per-candidate attempted_now_ lookup. Runs concurrently with other
   // shards: writes only the shard's own slot range, board, and tables;
   // everything else it touches is read-only during the phase.
-  void RankShard(int shard, Chronon now, bool compute_values,
-                 bool single_best, size_t top_c, bool check_attempted);
+  void RankShard(int shard, Chronon now, bool compute_values, size_t top_c,
+                 bool check_attempted);
+
+  // Issues one probe attempt of `resource` at `now`, costing `cost` budget
+  // units — the single issue point for fleet-breaker trials and the ranked
+  // walk alike (callers check the budget first): marks the resource
+  // contacted, notifies the policy, and with an injector attached draws
+  // the outcome and folds it into health, the attempt log, and the
+  // incident detector. Returns true iff the probe succeeded.
+  bool IssueProbe(ResourceId resource, Chronon now, double cost);
+  // Records a successful probe that captures this chronon: marks
+  // `resource` in R_ids and appends the probe to `schedule` (if non-null).
+  Status RecordProbe(ResourceId resource, Chronon now, Schedule* schedule);
 
   // --- Failure handling (active only when a fault injector is attached) ---
   // True iff `resource` may be probed at `now`: its breaker is not open
@@ -518,14 +513,6 @@ class OnlineScheduler {
   // Next activation sequence number (see SeqCand::seq).
   uint64_t next_seq_ = 0;
 
-  // Exact replica of the legacy flat active_ vector (content and order),
-  // maintained only when the policy observes the active set in
-  // BeginChronon (WIC's utility aggregation, Random's ordered draws);
-  // other policies receive empty_active_ and pay nothing.
-  bool track_active_mirror_ = false;
-  std::vector<CandidateEi> active_mirror_;
-  const std::vector<CandidateEi> empty_active_;
-
   // True when the policy declares ValueStableBetweenCaptures().
   bool value_stable_ = false;
 
@@ -553,10 +540,6 @@ class OnlineScheduler {
   std::vector<uint64_t> shard_best_epoch_;
   // Resources each shard touched this tick, in first-touch order.
   std::vector<std::vector<ResourceId>> shard_touched_;
-  // Single-best mode (C = 1, uniform costs): each shard's running minimum,
-  // valid when the matching shard_one_set_ flag is non-zero.
-  std::vector<Ranked> shard_one_;
-  std::vector<uint8_t> shard_one_set_;
   // Post-compaction end of each shard's chunk (gaps are stitched serially
   // after the pool joins).
   std::vector<size_t> shard_live_end_;

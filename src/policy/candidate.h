@@ -96,14 +96,20 @@ struct CandidateEi {
   }
   bool IsCaptured() const { return state->captured[ei_index]; }
 
-  /// True iff this candidate may legally be probed at chronon `now`: its
-  /// CEI is still live and unsatisfied, the EI itself is uncaptured and
-  /// unfailed, and `now` lies inside the EI's window. The scheduler
-  /// DCHECKs this before every probe (candidate legality contract).
+  /// True iff this candidate may still be probed some chronon: its CEI is
+  /// live and unsatisfied, the EI itself uncaptured and unfailed. The
+  /// scheduler marks EIs failed as their windows close, so for an entry of
+  /// the active list liveness needs no window check.
+  bool IsLive() const {
+    return !state->dead && !state->Complete() && !state->captured[ei_index] &&
+           !state->failed[ei_index];
+  }
+
+  /// True iff this candidate may legally be probed at chronon `now`: it is
+  /// live and `now` lies inside the EI's window. The scheduler DCHECKs this
+  /// before every probe (candidate legality contract).
   bool IsLegalAt(Chronon now) const {
-    return state != nullptr && !state->dead && !state->Complete() &&
-           !state->captured[ei_index] && !state->failed[ei_index] &&
-           ei().Contains(now);
+    return state != nullptr && IsLive() && ei().Contains(now);
   }
 };
 

@@ -41,24 +41,19 @@ class Policy {
   /// The classification level.
   virtual Level level() const = 0;
 
-  /// Called once per chronon before any Value() calls, with the full set of
-  /// active candidate EIs. Stateful policies (e.g. WIC's per-resource
-  /// aggregation) precompute here; the default does nothing.
+  /// Called once per chronon before any Value() calls, with the active
+  /// candidate EIs in activation order. Stateful policies (WIC's
+  /// per-resource utility, Random's per-candidate draws) precompute here;
+  /// the default does nothing.
   ///
-  /// The scheduler materializes `active` (in activation order, the order the
-  /// legacy flat candidate list used) only for policies that declare
-  /// ObservesActiveSet(); everyone else receives an empty vector, which
-  /// keeps the indexed scheduler free of an O(active) copy per chronon.
+  /// The online scheduler passes its own active list, not a copy, before
+  /// the chronon's ranking pass prunes it: entries whose IsLive() is false
+  /// (captured, failed, or of a CEI that completed, died, or was cancelled)
+  /// may still be present and must be skipped. The live entries are
+  /// exactly the activated, uncaptured EIs of live CEIs whose window
+  /// contains `now`, in activation order.
   virtual void BeginChronon(const std::vector<CandidateEi>& active,
                             Chronon now);
-
-  /// True iff BeginChronon reads the `active` vector (content or order).
-  /// WIC aggregates per-resource utility over it and Random draws one RNG
-  /// value per candidate in iteration order, so both depend on the exact
-  /// legacy activation ordering; the scheduler maintains that ordering only
-  /// when this returns true. The default (false) means BeginChronon may be
-  /// handed an empty vector.
-  virtual bool ObservesActiveSet() const { return false; }
 
   /// Cost of probing `cand` at chronon `now`; the scheduler picks candidates
   /// in ascending Value order. Ties are broken by earlier deadline, then by

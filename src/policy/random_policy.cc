@@ -10,15 +10,15 @@ uint64_t Key(const CandidateEi& cand) {
 
 void RandomPolicy::BeginChronon(const std::vector<CandidateEi>& active,
                                 Chronon /*now*/) {
-  draws_.clear();
+  draws_.Clear();
   for (const auto& cand : active) {
-    draws_[Key(cand)] = rng_.UniformDouble();
+    if (cand.IsLive()) draws_.Insert(Key(cand), rng_.UniformDouble());
   }
 }
 
 double RandomPolicy::Value(const CandidateEi& cand, Chronon /*now*/) const {
-  auto it = draws_.find(Key(cand));
-  return (it == draws_.end()) ? 1.0 : it->second;
+  const double* draw = draws_.Find(Key(cand));
+  return draw == nullptr ? 1.0 : *draw;
 }
 
 }  // namespace webmon

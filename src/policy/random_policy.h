@@ -6,9 +6,9 @@
 #define WEBMON_POLICY_RANDOM_POLICY_H_
 
 #include <string>
-#include <unordered_map>
 
 #include "policy/policy.h"
+#include "util/id_map.h"
 #include "util/rng.h"
 
 namespace webmon {
@@ -21,21 +21,20 @@ class RandomPolicy final : public Policy {
   std::string name() const override { return "Random"; }
   Level level() const override { return Level::kIndividualEi; }
 
+  /// One RNG draw per live candidate in activation order: the draw
+  /// sequence (hence the whole run) depends on that exact ordering.
   void BeginChronon(const std::vector<CandidateEi>& active,
                     Chronon now) override;
-
-  /// One RNG draw per candidate in active-set iteration order: the draw
-  /// sequence (hence the whole run) depends on the exact legacy activation
-  /// ordering, so the scheduler must materialize it.
-  bool ObservesActiveSet() const override { return true; }
 
   double Value(const CandidateEi& cand, Chronon now) const override;
 
  private:
   Rng rng_;
   // Draw per (CEI id, EI index) per chronon so Value() is stable within a
-  // chronon, as the scheduler may call it repeatedly while selecting.
-  std::unordered_map<uint64_t, double> draws_;
+  // chronon, as the scheduler may call it repeatedly while selecting. A
+  // flat table cleared in place keeps its capacity, so a steady-state
+  // chronon allocates nothing.
+  FlatIdMap<double> draws_;
 };
 
 }  // namespace webmon

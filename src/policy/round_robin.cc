@@ -2,12 +2,9 @@
 
 namespace webmon {
 
-void RoundRobinPolicy::BeginChronon(const std::vector<CandidateEi>& /*active*/,
-                                    Chronon /*now*/) {}
-
 double RoundRobinPolicy::Value(const CandidateEi& cand, Chronon now) const {
-  auto it = last_probed_.find(cand.ei().resource);
-  const Chronon last = (it == last_probed_.end()) ? -1 : it->second;
+  const ResourceId r = cand.ei().resource;
+  const Chronon last = r < last_probed_.size() ? last_probed_[r] : -1;
   // Recently probed resources cost more; never-probed resources cost least.
   // A small deadline term breaks ties toward urgent intervals.
   const double recency = static_cast<double>(last + 1);
@@ -17,6 +14,9 @@ double RoundRobinPolicy::Value(const CandidateEi& cand, Chronon now) const {
 }
 
 void RoundRobinPolicy::NotifyProbed(ResourceId resource, Chronon now) {
+  if (resource >= last_probed_.size()) {
+    last_probed_.resize(resource + size_t{1}, -1);
+  }
   last_probed_[resource] = now;
 }
 

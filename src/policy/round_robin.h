@@ -6,7 +6,7 @@
 #define WEBMON_POLICY_ROUND_ROBIN_H_
 
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "policy/policy.h"
 
@@ -18,15 +18,15 @@ class RoundRobinPolicy final : public Policy {
   std::string name() const override { return "RoundRobin"; }
   Level level() const override { return Level::kIndividualEi; }
 
-  void BeginChronon(const std::vector<CandidateEi>& active,
-                    Chronon now) override;
   double Value(const CandidateEi& cand, Chronon now) const override;
 
   /// Advances the rotation when the scheduler probes `resource`.
   void NotifyProbed(ResourceId resource, Chronon now) override;
 
  private:
-  std::unordered_map<ResourceId, Chronon> last_probed_;
+  // last_probed_[r] = chronon of the latest probe of resource r, -1 if
+  // never; grown on demand (resources past the end were never probed).
+  std::vector<Chronon> last_probed_;
 };
 
 }  // namespace webmon

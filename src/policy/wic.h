@@ -13,8 +13,9 @@
 #ifndef WEBMON_POLICY_WIC_H_
 #define WEBMON_POLICY_WIC_H_
 
+#include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "policy/policy.h"
 
@@ -26,13 +27,9 @@ class WicPolicy final : public Policy {
   std::string name() const override { return "WIC"; }
   Level level() const override { return Level::kIndividualEi; }
 
-  /// Precomputes the per-resource accumulated utility for this chronon.
+  /// Counts this chronon's live active EIs per resource (the utility).
   void BeginChronon(const std::vector<CandidateEi>& active,
                     Chronon now) override;
-
-  /// The utility aggregation sums over the active set, so the scheduler
-  /// must materialize it.
-  bool ObservesActiveSet() const override { return true; }
 
   /// Cost = -utility(resource): the scheduler's ascending pick becomes
   /// WIC's max-utility pick. Fractional deadline tiebreak keeps choices
@@ -40,7 +37,12 @@ class WicPolicy final : public Policy {
   double Value(const CandidateEi& cand, Chronon now) const override;
 
  private:
-  std::unordered_map<ResourceId, double> utility_;
+  // utility_[r] = live active EIs on resource r this chronon. Grown on
+  // demand and never shrunk; touched_ lists the resources counted this
+  // chronon so the next one resets O(touched), not O(resources), and a
+  // steady-state chronon allocates nothing.
+  std::vector<uint32_t> utility_;
+  std::vector<ResourceId> touched_;
 };
 
 }  // namespace webmon

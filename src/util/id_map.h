@@ -23,6 +23,7 @@
 #ifndef WEBMON_UTIL_ID_MAP_H_
 #define WEBMON_UTIL_ID_MAP_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -79,6 +80,13 @@ class FlatIdMap {
   const V* Find(uint64_t key) const {
     const size_t i = FindSlot(key);
     return i == kNotFound ? nullptr : &values_[i];
+  }
+
+  /// Drops every mapping but keeps the table's capacity: refilling it to
+  /// the same population allocates nothing (per-chronon scratch maps).
+  void Clear() {
+    std::fill(used_.begin(), used_.end(), uint8_t{0});
+    size_ = 0;
   }
 
   /// Removes `key` if present. Backward-shift deletion: the probe chain

@@ -67,6 +67,10 @@ void ThreadPool::WorkerLoop() {
       while (!shutdown_ && job_epoch_ == seen_epoch) work_cv_.Wait(mu_);
       if (shutdown_) return;
       seen_epoch = job_epoch_;
+      // Woke too late: ParallelFor already retired this epoch's job. Its
+      // task counter may belong to the next job by now, so claiming from it
+      // would run a null function — wait for the next epoch instead.
+      if (job_ == nullptr) continue;
       job = job_;
       num_tasks = job_tasks_;
       ++workers_in_job_;

@@ -67,7 +67,9 @@ class ThreadPool {
   CondVar done_cv_;  // signaled when a worker leaves a job
   // Current job, published under mu_ with a bumped epoch; workers adopt the
   // newest job exactly once per wakeup, so a worker can never mix one job's
-  // task counter with another job's function.
+  // task counter with another job's function. ParallelFor resets it to null
+  // once the job is done; a worker waking after that skips the epoch
+  // instead of adopting the retired job.
   const std::function<void(int)>* job_ GUARDED_BY(mu_) = nullptr;
   int job_tasks_ GUARDED_BY(mu_) = 0;
   uint64_t job_epoch_ GUARDED_BY(mu_) = 0;

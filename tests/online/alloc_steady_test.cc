@@ -9,6 +9,7 @@
 // replaces the process-global operator new/delete with counting versions,
 // which must not leak into the main webmon_tests binary.
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -56,16 +57,19 @@ std::vector<Cei> MakeWorkload(uint32_t num_resources, Chronon num_chronons,
   return ceis;
 }
 
-// The tentpole contract: once arrivals stop and the scratch capacities have
+// The tentpole contract, for every policy: once arrivals stop and the
+// scratch capacities (the policies' own per-resource tables included) have
 // warmed up, every subsequent fault-free Step allocates nothing at all.
-TEST(AllocSteadyTest, FaultFreeSteadyStateStepAllocatesNothing) {
+class AllocSteadyTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(AllocSteadyTest, FaultFreeSteadyStateStepAllocatesNothing) {
   constexpr uint32_t kResources = 500;
   constexpr Chronon kChronons = 400;
   constexpr Chronon kArrivalChronons = 40;
   constexpr Chronon kWarmup = 60;
   constexpr Chronon kMeasured = 120;
 
-  auto policy = MakePolicy("s-edf", 17);
+  auto policy = MakePolicy(GetParam(), 17);
   ASSERT_TRUE(policy.ok()) << policy.status();
   const std::vector<Cei> ceis =
       MakeWorkload(kResources, kChronons, kArrivalChronons, 25, 1);
@@ -94,6 +98,18 @@ TEST(AllocSteadyTest, FaultFreeSteadyStateStepAllocatesNothing) {
       << (after.bytes - before.bytes) << " bytes were allocated";
   EXPECT_GT(scheduler.stats().eis_captured, 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, AllocSteadyTest,
+    ::testing::Values("s-edf", "m-edf", "mrsf", "w-mrsf", "wic", "random",
+                      "round-robin"),
+    [](const ::testing::TestParamInfo<std::string>& param) {
+      std::string name = param.param;
+      for (auto& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
 
 // With ongoing arrivals the tick may still grow the slot columns and ring
 // chunk populations toward their equilibrium high-water marks, but the

@@ -126,5 +126,24 @@ TEST(FlatIdMapTest, GrowsFromEmptyWithoutReserve) {
   }
 }
 
+TEST(FlatIdMapTest, ClearKeepsCapacityForRefill) {
+  // Per-chronon scratch use (Random's draw table): clear, then refill with
+  // a different key set of the same size — no growth, no stale keys.
+  FlatIdMap<double> map;
+  for (uint64_t i = 0; i < 3000; ++i) map.Insert(i, 0.5);
+  const int64_t rehashes = map.rehashes();
+  for (int round = 1; round <= 5; ++round) {
+    map.Clear();
+    EXPECT_TRUE(map.empty());
+    const uint64_t base = static_cast<uint64_t>(round) * 3000;
+    for (uint64_t i = base; i < base + 3000; ++i) map.Insert(i, 1.0 * round);
+    EXPECT_EQ(map.size(), 3000u);
+    EXPECT_EQ(map.Find(base - 1), nullptr) << "stale key survived Clear";
+    ASSERT_NE(map.Find(base), nullptr);
+    EXPECT_EQ(*map.Find(base), 1.0 * round);
+  }
+  EXPECT_EQ(map.rehashes(), rehashes);
+}
+
 }  // namespace
 }  // namespace webmon

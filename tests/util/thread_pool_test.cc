@@ -98,5 +98,24 @@ TEST(ThreadPoolTest, DefaultThreadsIsPositive) {
   EXPECT_GE(ThreadPool::DefaultThreads(), 1);
 }
 
+// Late-wakeup regression: with more workers than tasks, the calling thread
+// and a few workers finish each job before the rest wake up, so most
+// wakeups land after ParallelFor retired the job — and, back to back, often
+// after the next job reset the task counter. A worker that adopted the
+// retired (null) job then claimed a fresh index and called through a null
+// function. The loop is sized so the old pool crashed on most runs.
+TEST(ThreadPoolStressTest, BackToBackSmallJobsOnAWidePool) {
+  ThreadPool pool(8);
+  constexpr int kJobs = 1000000;
+  constexpr int kTasks = 4;
+  std::atomic<int64_t> runs{0};
+  for (int job = 0; job < kJobs; ++job) {
+    pool.ParallelFor(kTasks, [&](int) {
+      runs.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(runs.load(), int64_t{kJobs} * kTasks);
+}
+
 }  // namespace
 }  // namespace webmon

@@ -107,7 +107,7 @@ LINE_COMMENT = re.compile(r"//.*$")
 HOTPATH_FUNCTIONS = {
     "src/online/online_scheduler.cc": {
         "Step", "RankShard", "Activate", "AdmitActive", "ProcessExpiries",
-        "MarkFailed", "MoveSlot", "CompactMirror",
+        "MarkFailed", "MoveSlot", "IssueProbe", "RecordProbe",
     },
 }
 HOTPATH_ALLOW = "hotpath-alloc-ok:"
