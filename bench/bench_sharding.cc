@@ -224,7 +224,9 @@ int Run(int argc, const char* const* argv) {
     row.shards = shards;
     row.wall_s = wall;
     row.aggregate_chronons_per_sec =
-        wall > 0.0 ? static_cast<double>(shards) * horizon / wall : 0.0;
+        wall > 0.0
+            ? static_cast<double>(shards) * static_cast<double>(horizon) / wall
+            : 0.0;
     if (base_rate == 0.0) base_rate = row.aggregate_chronons_per_sec;
     row.speedup =
         base_rate > 0.0 ? row.aggregate_chronons_per_sec / base_rate : 0.0;
@@ -233,7 +235,8 @@ int Run(int argc, const char* const* argv) {
     row.cross_shard_ceis = agg.cross_shard_ceis;
     row.cross_shard_fraction =
         agg.total_ceis > 0
-            ? static_cast<double>(agg.cross_shard_ceis) / agg.total_ceis
+            ? static_cast<double>(agg.cross_shard_ceis) /
+                  static_cast<double>(agg.total_ceis)
             : 0.0;
     row.cross_shard_captured = agg.cross_shard_captured;
     row.completeness = agg.completeness;

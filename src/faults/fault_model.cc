@@ -108,6 +108,19 @@ bool operator==(const IncidentDomain& a, const IncidentDomain& b) {
          a.exit_prob == b.exit_prob && a.fail_prob == b.fail_prob;
 }
 
+DomainCoverage::DomainCoverage(const std::vector<IncidentDomain>& domains,
+                               uint32_t num_resources) {
+  if (domains.empty()) return;
+  offsets_.reserve(size_t{num_resources} + 1);
+  offsets_.push_back(0);
+  for (uint32_t r = 0; r < num_resources; ++r) {
+    for (size_t d = 0; d < domains.size(); ++d) {
+      if (domains[d].Covers(r)) ids_.push_back(static_cast<uint32_t>(d));
+    }
+    offsets_.push_back(static_cast<uint32_t>(ids_.size()));
+  }
+}
+
 const ResourceFaultProfile& FaultSpec::For(ResourceId resource) const {
   auto it = overrides.find(resource);
   return it == overrides.end() ? defaults : it->second;
@@ -352,14 +365,7 @@ FaultInjector::FaultInjector(FaultSpec spec, uint32_t num_resources,
       uint64_t stream = seed ^ (0xBF58476D1CE4E5B9ULL * (d + 1));
       domains_[d].chain_rng = Rng(SplitMix64Next(stream));
     }
-    covering_.resize(num_resources);
-    for (uint32_t r = 0; r < num_resources; ++r) {
-      for (size_t d = 0; d < spec_.incidents.size(); ++d) {
-        if (spec_.incidents[d].Covers(r)) {
-          covering_[r].push_back(static_cast<uint32_t>(d));
-        }
-      }
-    }
+    coverage_ = DomainCoverage(spec_.incidents, num_resources);
   }
 }
 
@@ -392,12 +398,6 @@ bool FaultInjector::ResourceInIncident(ResourceId resource, Chronon t) {
     if (FleetIncidentActive(d, t)) return true;
   }
   return false;
-}
-
-const std::vector<uint32_t>& FaultInjector::DomainsCovering(
-    ResourceId resource) const {
-  if (resource >= covering_.size()) return no_domains_;
-  return covering_[resource];
 }
 
 void FaultInjector::AdvanceChain(ResourceState& state,

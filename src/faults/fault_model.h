@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -91,6 +92,31 @@ struct IncidentDomain {
   friend bool operator==(const IncidentDomain& a, const IncidentDomain& b);
 };
 
+/// Resource -> covering incident domains, resolved once and stored flat:
+/// the indices of the domains covering resource r are ids[offsets[r] ..
+/// offsets[r+1]), ascending. Shared by FaultInjector and IncidentDetector,
+/// so both resolve coverage identically.
+class DomainCoverage {
+ public:
+  /// Empty coverage: every resource is uncovered.
+  DomainCoverage() = default;
+  /// Resolves `domains` against the resources in [0, num_resources).
+  DomainCoverage(const std::vector<IncidentDomain>& domains,
+                 uint32_t num_resources);
+
+  /// Indices of the domains covering `resource` (empty when out of range).
+  std::span<const uint32_t> DomainsCovering(ResourceId resource) const {
+    if (resource + size_t{1} >= offsets_.size()) return {};
+    return {ids_.data() + offsets_[resource],
+            ids_.data() + offsets_[resource + 1]};
+  }
+
+ private:
+  // num_resources + 1 prefix offsets into ids_; empty without domains.
+  std::vector<uint32_t> offsets_;
+  std::vector<uint32_t> ids_;
+};
+
 /// Failure model of a whole resource fleet: a default profile plus
 /// per-resource overrides.
 struct FaultSpec {
@@ -155,7 +181,9 @@ class FaultInjector {
   bool ResourceInIncident(ResourceId resource, Chronon t);
 
   /// Indices into spec().incidents of the domains covering `resource`.
-  const std::vector<uint32_t>& DomainsCovering(ResourceId resource) const;
+  std::span<const uint32_t> DomainsCovering(ResourceId resource) const {
+    return coverage_.DomainsCovering(resource);
+  }
 
   size_t num_incident_domains() const { return domains_.size(); }
 
@@ -189,11 +217,9 @@ class FaultInjector {
   uint64_t seed_;
   std::vector<ResourceState> states_;
   // Fleet incident chains, one per spec().incidents entry, plus the
-  // resource -> covering-domains index (empty vectors shared via
-  // no_domains_ so uncovered lookups stay allocation-free).
+  // resource -> covering-domains index.
   std::vector<DomainState> domains_;
-  std::vector<std::vector<uint32_t>> covering_;
-  const std::vector<uint32_t> no_domains_;
+  DomainCoverage coverage_;
 };
 
 }  // namespace webmon

@@ -12,31 +12,30 @@ namespace webmon {
 IncidentDetector::IncidentDetector(const FaultSpec& spec,
                                    uint32_t num_resources,
                                    const FaultHandlingOptions& options)
-    : options_(options) {
+    : options_(options), coverage_(spec.incidents, num_resources) {
   if (spec.incidents.empty()) return;
   domains_.resize(spec.incidents.size());
-  covering_.resize(num_resources);
-  for (size_t d = 0; d < spec.incidents.size(); ++d) {
-    for (uint32_t r = 0; r < num_resources; ++r) {
-      if (spec.incidents[d].Covers(r)) {
-        domains_[d].members.push_back(r);
-        covering_[r].push_back(static_cast<uint32_t>(d));
-      }
+  const size_t slots =
+      static_cast<size_t>(std::max<Chronon>(options_.incident_window, 1)) + 1;
+  for (Domain& domain : domains_) domain.window.resize(slots);
+  for (uint32_t r = 0; r < num_resources; ++r) {
+    for (uint32_t d : coverage_.DomainsCovering(r)) {
+      domains_[d].members.push_back(r);
     }
   }
 }
 
 void IncidentDetector::AdvanceOne(Chronon t) {
-  const Chronon window = std::max<Chronon>(options_.incident_window, 1);
   for (size_t d = 0; d < domains_.size(); ++d) {
     Domain& domain = domains_[d];
     if (domain.members.empty()) continue;
-    while (!domain.window.empty() &&
-           domain.window.front().chronon < t - window) {
-      domain.window_attempts -= domain.window.front().attempts;
-      domain.window_failures -= domain.window.front().failures;
-      domain.window.pop_front();
-    }
+    // Evict chronon t - (incident_window + 1), the only entry that ages out
+    // at t (every chronon is advanced through), freeing its slot for t.
+    WindowEntry& expired =
+        domain.window[static_cast<size_t>(t) % domain.window.size()];
+    domain.window_attempts -= expired.attempts;
+    domain.window_failures -= expired.failures;
+    expired = WindowEntry{};
     if (!domain.open) {
       if (domain.window_attempts >= options_.incident_min_attempts &&
           static_cast<double>(domain.window_failures) >=
@@ -80,16 +79,14 @@ void IncidentDetector::RecordAttempt(ResourceId resource, Chronon now,
                                      bool success) {
   WEBMON_CHECK(now == cursor_)
       << "RecordAttempt must follow BeginChronon for the same chronon";
-  if (resource >= covering_.size()) return;
-  for (uint32_t d : covering_[resource]) {
+  for (uint32_t d : coverage_.DomainsCovering(resource)) {
     Domain& domain = domains_[d];
-    if (domain.window.empty() || domain.window.back().chronon != now) {
-      domain.window.push_back(WindowEntry{now, 0, 0});
-    }
-    ++domain.window.back().attempts;
+    WindowEntry& entry =
+        domain.window[static_cast<size_t>(now) % domain.window.size()];
+    ++entry.attempts;
     ++domain.window_attempts;
     if (!success) {
-      ++domain.window.back().failures;
+      ++entry.failures;
       ++domain.window_failures;
     }
     if (domain.open && domain.trial_chronon == now &&
@@ -100,7 +97,8 @@ void IncidentDetector::RecordAttempt(ResourceId resource, Chronon now,
           // must not instantly re-open the breaker.
           domain.open = false;
           domain.trial_successes = 0;
-          domain.window.clear();
+          std::fill(domain.window.begin(), domain.window.end(),
+                    WindowEntry{});
           domain.window_attempts = 0;
           domain.window_failures = 0;
           ++stats_.closes;
@@ -120,17 +118,15 @@ bool IncidentDetector::TrialDue(size_t domain, ResourceId* resource) const {
 }
 
 bool IncidentDetector::OpenFor(ResourceId resource) const {
-  if (resource >= covering_.size()) return false;
-  for (uint32_t d : covering_[resource]) {
+  for (uint32_t d : coverage_.DomainsCovering(resource)) {
     if (domains_[d].open) return true;
   }
   return false;
 }
 
 bool IncidentDetector::Suppressed(ResourceId resource) const {
-  if (resource >= covering_.size()) return false;
   bool any_open = false;
-  for (uint32_t d : covering_[resource]) {
+  for (uint32_t d : coverage_.DomainsCovering(resource)) {
     const Domain& domain = domains_[d];
     if (!domain.open) continue;
     any_open = true;

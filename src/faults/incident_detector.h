@@ -27,7 +27,6 @@
 #define WEBMON_FAULTS_INCIDENT_DETECTOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "faults/fault_model.h"
@@ -83,13 +82,16 @@ class IncidentDetector {
  private:
   // Per-chronon aggregate of the attempts a domain's members received.
   struct WindowEntry {
-    Chronon chronon = 0;
     int32_t attempts = 0;
     int32_t failures = 0;
   };
   struct Domain {
     std::vector<ResourceId> members;  // resolved coverage, sorted
-    std::deque<WindowEntry> window;
+    // Chronon-indexed ring of the last incident_window + 1 chronons'
+    // aggregates: chronon t lives in slot t % window.size(). Sized once in
+    // the constructor; AdvanceOne(t) evicts the slot it is about to reuse
+    // (chronon t - window.size()), so the tick never allocates.
+    std::vector<WindowEntry> window;
     int64_t window_attempts = 0;
     int64_t window_failures = 0;
     bool open = false;
@@ -105,9 +107,7 @@ class IncidentDetector {
 
   FaultHandlingOptions options_;
   std::vector<Domain> domains_;
-  // covering_[r] = indices of domains covering r (empty shared fallback).
-  std::vector<std::vector<uint32_t>> covering_;
-  const std::vector<uint32_t> no_domains_;
+  DomainCoverage coverage_;
   Chronon cursor_ = -1;
   IncidentDetectorStats stats_;
 };

@@ -93,11 +93,22 @@ StatusOr<ProblemInstance> ProblemFromText(const std::string& text) {
     if (!(bs >> c)) {
       return Status::InvalidArgument("malformed uniform budget");
     }
+    if (c < 0) {
+      return Status::InvalidArgument("budget must be >= 0, got " +
+                                     std::to_string(c));
+    }
     budget = BudgetVector::Uniform(c);
   } else if (mode == "perchronon") {
     std::vector<int64_t> values;
     int64_t c = 0;
-    while (bs >> c) values.push_back(c);
+    while (bs >> c) {
+      if (c < 0) {
+        return Status::InvalidArgument(
+            "perchronon budget values must be >= 0, got " +
+            std::to_string(c));
+      }
+      values.push_back(c);
+    }
     if (static_cast<int64_t>(values.size()) != num_chronons) {
       return Status::InvalidArgument(
           "perchronon budget must list one value per chronon");

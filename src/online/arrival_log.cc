@@ -1,5 +1,6 @@
 #include "online/arrival_log.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -121,7 +122,10 @@ StatusOr<ArrivalLog> ParseArrivalLog(const std::string& text) {
             event.weight >> event.required >> num_eis)) {
         return Malformed(line_number, "truncated submit record");
       }
-      event.eis.reserve(num_eis);
+      // The count is untrusted input: reserve no more windows than the
+      // line can carry (each is three integers plus separators, >= 6
+      // bytes); a larger count fails below as a truncated record.
+      event.eis.reserve(std::min<uint64_t>(num_eis, line.size() / 6));
       for (uint64_t i = 0; i < num_eis; ++i) {
         ResourceId resource = 0;
         Chronon start = 0;

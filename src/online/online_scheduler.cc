@@ -32,12 +32,9 @@ OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
       probed_now_(num_resources, 0),
       attempted_now_(num_resources, 0) {
   // Fault bookkeeping is pay-for-use: without an injector no health state
-  // exists, the fault branches below are dead, and the per-chronon gate
-  // caches are never allocated.
+  // exists and the rank scan runs its gate-free instantiation.
   if (options_.fault_injector != nullptr) {
     health_.resize(num_resources);
-    avail_now_.assign(num_resources, 1);
-    shrink_now_.assign(num_resources, 0);
     const FaultSpec& spec = options_.fault_injector->spec();
     if (!spec.incidents.empty()) {
       track_incidents_ = true;
@@ -63,6 +60,7 @@ OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
   for (auto& kept : shard_topc_) kept.reserve(board);
   shard_touched_.resize(shards);
   shard_live_end_.assign(shards, 0);
+  shard_gates_.resize(shards);
   merged_.reserve(shards * board);
 
   // Steady-state capacity hints: everything below also grows on demand,
@@ -532,20 +530,26 @@ void OnlineScheduler::EnsureRankTables() {
   best_epoch_.assign(num_resources_, 0);
 }
 
+template <bool kFaulty>
 void OnlineScheduler::RankShard(int shard, Chronon now, bool compute_values,
                                 size_t top_c, bool check_attempted) {
   const size_t n = slot_cand_.size();
   const size_t begin = std::min(static_cast<size_t>(shard) * chunk_size_, n);
   const size_t end = std::min(begin + chunk_size_, n);
   const bool split_started = !options_.preemptive;
-  const bool faulty = !health_.empty();
+  // Fault gates (kFaulty only): the retry-budget state is fixed for the
+  // whole rank phase, and the suppression tallies stay shard-local until
+  // Step sums them after the join.
+  const bool no_retries = kFaulty && RetryBudgetExhausted();
+  const IncidentDetector* detector = detector_.get();
+  GateTally gates;
 
   // Computes the candidate's policy value (reusing the memo column when
   // the policy declared it stable between captures) at the fault-shrunk
   // effective chronon. On healthy resources (and always without an
   // injector) the shrink is 0.
   auto value_of = [&](size_t i, const CandidateEi& cand, ResourceId r) {
-    const Chronon shrink = faulty ? shrink_now_[r] : 0;
+    const Chronon shrink = kFaulty ? ShrinkFor(r) : 0;
     const Chronon eff =
         shrink == 0 ? now : std::min(now + shrink, slot_finish_[i]);
     if (!value_stable_) return policy_->Value(cand, eff);
@@ -558,15 +562,33 @@ void OnlineScheduler::RankShard(int shard, Chronon now, bool compute_values,
   };
   // Skip resources already served by a push or fleet trial (the legacy
   // greedy walk skipped their candidates one by one, so dropping them
-  // pre-selection issues the identical probes) and resources gated by
-  // backoff or an open breaker. Availability is stable within the chronon
-  // (each resource records at most one outcome, after ranking); with an
-  // injector both gates are hoisted into per-resource caches at the start
-  // of the rank phase. check_attempted is false when nothing was contacted
-  // before the rank phase, skipping the table lookup entirely.
+  // pre-selection issues the identical probes). check_attempted is false
+  // when nothing was contacted before the rank phase, skipping the table
+  // lookup entirely. With an injector, the candidate's own resource is
+  // then gated by backoff or an open breaker, a spent retry budget, and
+  // fleet-breaker suppression. Every gate is stable within the rank phase
+  // (health, stats and the detector change only when outcomes are
+  // recorded, after ranking), so gating per candidate selects exactly what
+  // a per-resource pre-pass would.
   auto eligible = [&](ResourceId r) {
-    return (!check_attempted || !attempted_now_[r]) &&
-           (!faulty || avail_now_[r]);
+    if (check_attempted && attempted_now_[r]) return false;
+    if constexpr (kFaulty) {
+      if (!ResourceAvailable(r, now)) return false;
+      if (no_retries && health_[r].consecutive_failures > 0) {
+        // The retry budget is spent: resources with a live failure streak
+        // stop being offered for the rest of the run.
+        ++gates.retries_suppressed;
+        return false;
+      }
+      if (detector != nullptr && detector->Suppressed(r)) {
+        // A covering fleet breaker is open and this resource is not the
+        // chronon's end-of-incident trial: withhold the probe and let the
+        // budget flow to unaffected work.
+        ++gates.incident_probes_suppressed;
+        return false;
+      }
+    }
+    return true;
   };
 
   if (compute_values && top_c > 0) {
@@ -624,6 +646,7 @@ void OnlineScheduler::RankShard(int shard, Chronon now, bool compute_values,
       ++w;
     }
     shard_live_end_[static_cast<size_t>(shard)] = w;
+    shard_gates_[static_cast<size_t>(shard)] = gates;
     return;
   }
 
@@ -662,6 +685,7 @@ void OnlineScheduler::RankShard(int shard, Chronon now, bool compute_values,
     ++w;
   }
   shard_live_end_[static_cast<size_t>(shard)] = w;
+  shard_gates_[static_cast<size_t>(shard)] = gates;
 }
 
 bool OnlineScheduler::IssueProbe(ResourceId resource, Chronon now,
@@ -723,6 +747,9 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
   }
   if (now != last_step_ + 1) contiguous_steps_ = false;
   last_step_ = now;
+  // This chronon's attempts are the attempt log's tail from here (empty
+  // without an injector).
+  const size_t first_attempt = attempt_log_.size();
   if (probed) probed->clear();
   if (track_incidents_) UpdateIncidentState(now);
 
@@ -816,45 +843,38 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
     const bool check_attempted = !pushed_now_scratch_.empty() || attempts > 0;
     ++rank_epoch_;
     if (compute_values && !bounded) EnsureRankTables();
-    if (compute_values && !health_.empty()) {
-      const bool no_retries = RetryBudgetExhausted();
-      // Hoist the fault gates out of the scan: availability and deadline
-      // shrink are pure per (resource, chronon) while ranking runs.
-      for (ResourceId r = 0; r < num_resources_; ++r) {
-        avail_now_[r] = ResourceAvailable(r, now) ? 1 : 0;
-        if (no_retries && avail_now_[r] != 0 &&
-            health_[r].consecutive_failures > 0) {
-          // The retry budget is spent: resources with a live failure
-          // streak stop being offered for the rest of the run.
-          avail_now_[r] = 0;
-          ++stats_.retries_suppressed;
-        }
-        if (detector_ != nullptr && avail_now_[r] != 0 &&
-            detector_->Suppressed(r)) {
-          // A covering fleet breaker is open and this resource is not the
-          // chronon's end-of-incident trial: withhold the probe and let the
-          // budget flow to unaffected work.
-          avail_now_[r] = 0;
-          ++stats_.incident_probes_suppressed;
-        }
-        shrink_now_[r] = ShrinkFor(r);
-      }
-    }
     const size_t shards = static_cast<size_t>(num_shards_);
     chunk_size_ = (n + shards - 1) / shards;
     const size_t shard_top_c = bounded ? top_c : 0;
+    // The scan is instantiated on whether an injector is attached, so the
+    // fault-free scan carries no gate branches.
+    const bool faulty = !health_.empty();
+    auto rank = [this, now, compute_values, shard_top_c, check_attempted,
+                 faulty](int s) {
+      if (faulty) {
+        RankShard<true>(s, now, compute_values, shard_top_c, check_attempted);
+      } else {
+        RankShard<false>(s, now, compute_values, shard_top_c,
+                         check_attempted);
+      }
+    };
     if (pool_ != nullptr) {
-      // Shards write only their own contiguous slot range and their own
-      // board/partial-best tables; candidate states, policy values, health,
-      // and the attempted mask are read-only here. The pool joins before
-      // the stitch and merge, so nothing below observes concurrency and the
-      // thread count cannot alter the schedule.
-      pool_->ParallelFor(num_shards_, [this, now, compute_values,
-                                       shard_top_c, check_attempted](int s) {
-        RankShard(s, now, compute_values, shard_top_c, check_attempted);
-      });
+      // Shards write only their own contiguous slot range, board/partial-
+      // best tables and gate tallies; candidate states, policy values,
+      // health, stats, the detector and the attempted mask are read-only
+      // here. The pool joins before the stitch and merge, so nothing below
+      // observes concurrency and the thread count cannot alter the
+      // schedule.
+      pool_->ParallelFor(num_shards_, rank);
     } else {
-      RankShard(0, now, compute_values, shard_top_c, check_attempted);
+      rank(0);
+    }
+    if (faulty) {
+      // Fold the shards' gate tallies in shard order.
+      for (const GateTally& gates : shard_gates_) {
+        stats_.retries_suppressed += gates.retries_suppressed;
+        stats_.incident_probes_suppressed += gates.incident_probes_suppressed;
+      }
     }
     // Stitch the per-chunk compactions back into one contiguous list
     // (stable: chunk order is activation order). No pruned slots -> no
@@ -1078,14 +1098,15 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
   }
 
   if (probed) *probed = r_ids_scratch_;
-  for (ResourceId r : r_ids_scratch_) probed_now_[r] = 0;
-  for (ResourceId r : pushed_now_scratch_) probed_now_[r] = 0;
-  if (options_.fault_injector != nullptr) {
-    // Failed attempts marked attempted_now_ without entering r_ids.
-    std::fill(attempted_now_.begin(), attempted_now_.end(), 0);
-  } else {
-    for (ResourceId r : r_ids_scratch_) attempted_now_[r] = 0;
-    for (ResourceId r : pushed_now_scratch_) attempted_now_[r] = 0;
+  // Clear the per-step masks where they were set: probed and pushed
+  // resources, plus this chronon's attempts (failed ones and capture-less
+  // trial successes never entered r_ids).
+  for (ResourceId r : r_ids_scratch_) probed_now_[r] = attempted_now_[r] = 0;
+  for (ResourceId r : pushed_now_scratch_) {
+    probed_now_[r] = attempted_now_[r] = 0;
+  }
+  for (size_t i = first_attempt; i < attempt_log_.size(); ++i) {
+    attempted_now_[attempt_log_[i].resource] = 0;
   }
   stats_.capture_seconds += phase.ElapsedSeconds();
   return Status::OK();

@@ -52,10 +52,10 @@
 // ranking (their budget flows to unaffected work) except for one
 // deterministic re-probe trial per reprobe interval, which is also how the
 // detector notices the incident ended. Detector state is a pure function of
-// the attempt stream and is only read/written in the serial phases, so the
-// any-thread-count determinism contract is unchanged. Specs without
-// incident lines construct no detector and schedule byte-identically to
-// before.
+// the attempt stream, written only in the serial phases and read-only while
+// the rank shards gate their candidates, so the any-thread-count
+// determinism contract is unchanged. Specs without incident lines construct
+// no detector and schedule byte-identically to before.
 
 #ifndef WEBMON_ONLINE_ONLINE_SCHEDULER_H_
 #define WEBMON_ONLINE_ONLINE_SCHEDULER_H_
@@ -167,9 +167,11 @@ struct SchedulerStats {
   /// Budget units spent on those retry attempts (counted against
   /// FaultSpec::retry_budget when a cap is set).
   double retry_budget_spent = 0.0;
-  /// Chronon x resource pairs withheld from ranking (or from issuance,
-  /// when the budget ran out mid-chronon) because the retry budget was
-  /// exhausted while the resource was otherwise available for a retry.
+  /// Chronon x live candidate EI pairs withheld from ranking because the
+  /// retry budget was exhausted while the EI's resource was otherwise
+  /// available for a retry, plus ranked picks withheld from issuance when
+  /// the budget ran out mid-chronon (one per resource). Resources no live
+  /// EI wants probed are never counted.
   int64_t retries_suppressed = 0;
   /// Transitions of any resource's circuit breaker to the open state.
   int64_t breaker_trips = 0;
@@ -187,8 +189,10 @@ struct SchedulerStats {
   int64_t incident_windows_missed = 0;
   /// Chronon x domain pairs of ground-truth incident exposure.
   int64_t incident_chronons = 0;
-  /// Chronon x resource pairs withheld from ranking by an open fleet
-  /// breaker while otherwise available — the budget redirected (saved).
+  /// Chronon x live candidate EI pairs withheld from ranking by an open
+  /// fleet breaker while the EI's resource was otherwise available — the
+  /// demand whose budget was redirected. Resources no live EI wants probed
+  /// are never counted.
   int64_t incident_probes_suppressed = 0;
   /// End-of-incident re-probe trials issued while a covering breaker was
   /// open.
@@ -340,6 +344,12 @@ class OnlineScheduler {
     uint64_t seq = 0;
     CandidateEi cand;
   };
+  // Live candidate EIs one rank shard withheld this chronon, per gate
+  // (SchedulerStats::retries_suppressed / incident_probes_suppressed).
+  struct GateTally {
+    int64_t retries_suppressed = 0;
+    int64_t incident_probes_suppressed = 0;
+  };
   // A resource's best candidate surviving per-resource dedup, with its
   // policy value, cached deadline/resource (so comparisons and dedup skip
   // the EI deref), and (non-preemptive mode) started flag.
@@ -414,9 +424,14 @@ class OnlineScheduler {
   //     in the shard's epoch-stamped partial-best table.
   // `check_attempted` is false when no resource was contacted before the
   // rank phase (no pushes or fleet trials) — the common case, which skips
-  // the per-candidate attempted_now_ lookup. Runs concurrently with other
-  // shards: writes only the shard's own slot range, board, and tables;
-  // everything else it touches is read-only during the phase.
+  // the per-candidate attempted_now_ lookup. kFaulty (an injector is
+  // attached) gates each live candidate on its own resource — backoff and
+  // breaker, the retry budget, fleet-breaker suppression — and shrinks its
+  // deadline; the withheld candidates are tallied in shard_gates_. Runs
+  // concurrently with other shards: writes only the shard's own slot
+  // range, board, tables, and tally; everything else it touches (health,
+  // stats, the detector included) is read-only during the phase.
+  template <bool kFaulty>
   void RankShard(int shard, Chronon now, bool compute_values, size_t top_c,
                  bool check_attempted);
 
@@ -553,12 +568,9 @@ class OnlineScheduler {
   // The merged, globally sorted selection handed to the greedy walk.
   std::vector<Ranked> merged_;
   std::vector<SeqCand> expiry_scratch_;
-  // Per-resource fault gates hoisted once per chronon (sized only when an
-  // injector is attached): avail_now_[r] / shrink_now_[r] cache
-  // ResourceAvailable / ShrinkFor so the ranking scan never recomputes them
-  // per candidate.
-  std::vector<uint8_t> avail_now_;
-  std::vector<Chronon> shrink_now_;
+  // Each shard's gate tallies for the current rank phase, summed into
+  // stats_ in shard order after the join.
+  std::vector<GateTally> shard_gates_;
   // Worker pool for the ranking phase; null when num_threads <= 1.
   std::unique_ptr<ThreadPool> pool_;
   int num_shards_ = 1;

@@ -252,8 +252,14 @@ StatusOr<AggregateResult> AggregateShardStreams(
           case ShardEventKind::kCancel:
             break;  // expiries are informational; cancels ran in phase 1
           case ShardEventKind::kSpend:
-            spend += event.attempts;
-            result.total_attempts += event.attempts;
+            // Checked adds: a sum that wrapped could slip under the
+            // global budget below.
+            if (__builtin_add_overflow(spend, event.attempts, &spend) ||
+                __builtin_add_overflow(result.total_attempts, event.attempts,
+                                       &result.total_attempts)) {
+              return Status::FailedPrecondition(
+                  "fleet spend overflows at chronon " + std::to_string(t));
+            }
             break;
         }
       }

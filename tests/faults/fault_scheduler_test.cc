@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "faults/fault_model.h"
 #include "model/completeness.h"
@@ -211,6 +212,41 @@ TEST(FaultSchedulerTest, AlwaysFailingResourceBacksOffThenTrips) {
   EXPECT_EQ(report.retries, 5);
 }
 
+TEST(FaultSchedulerTest, PushesElsewhereDoNotChangeARetryCadence) {
+  // A failed attempt marks its resource contacted for that chronon only.
+  // Pushes to an unrelated resource make every later rank pass consult the
+  // contacted mask, so a mark that outlived its chronon would withhold the
+  // always-failing resource's retries; with the mask cleared, its attempts
+  // match the push-free run exactly.
+  const Chronon k = 40;
+  const auto problem =
+      MakeProblemOneCeiPerProfile(2, k, 1, {{{0, 0, k - 1}}});
+  FaultSpec spec;
+  spec.overrides[0].transient_error_prob = 1.0;
+  std::vector<std::vector<ProbeAttempt>> logs;
+  for (const bool pushes : {false, true}) {
+    FaultInjector injector(spec, 2, /*seed=*/1);
+    auto policy = MakePolicy("s-edf");
+    ASSERT_TRUE(policy.ok());
+    SchedulerOptions options;
+    options.fault_injector = &injector;
+    options.fault_handling.backoff_jitter = false;
+    ManualRun run(problem, policy->get(), options);
+    for (Chronon t = 0; t < k; ++t) {
+      if (pushes) {
+        ASSERT_TRUE(run.scheduler.AddPush(1, t).ok());
+      }
+      run.StepTo(t);
+    }
+    logs.push_back(run.scheduler.attempt_log());
+  }
+  ASSERT_EQ(logs[0].size(), 6u);  // t = 0, 1, 3, 7, then two half-open trials
+  ASSERT_EQ(logs[0].size(), logs[1].size());
+  for (size_t i = 0; i < logs[0].size(); ++i) {
+    EXPECT_TRUE(logs[0][i] == logs[1][i]) << "attempt " << i;
+  }
+}
+
 TEST(FaultSchedulerTest, RetryBudgetCapsTotalRetrySpend) {
   // Same always-failing single resource, but the spec caps retry spend at
   // 2 budget units: after the retries at t=1 and t=3 the budget is gone,
@@ -286,6 +322,47 @@ TEST(FaultSchedulerTest, RetryBudgetExhaustionMidChrononSkipsIssuance) {
   for (const ProbeAttempt& attempt : run.scheduler.attempt_log()) {
     EXPECT_LE(attempt.chronon, 1) << "retry issued after budget exhaustion";
   }
+}
+
+TEST(FaultSchedulerTest, RetrySuppressionCountsLiveDemandNotStreakedResources) {
+  // retries_suppressed counts live candidate EIs the spent retry budget
+  // withholds, not every resource that carries a failure streak. Phase 1
+  // leaves 1,000 always-failing resources with a streak and then lets their
+  // needs expire; in phase 2 only four needs are live, so each chronon may
+  // add at most four suppressions although 1,000 streaked resources sit
+  // available in a fleet of 10^5.
+  constexpr uint32_t kResources = 100'000;
+  constexpr Chronon kPhase2 = 20;
+  constexpr Chronon k = 60;
+  std::vector<testing_util::CeiSpec> ceis;
+  for (ResourceId r = 0; r < 1000; ++r) ceis.push_back({{r, 0, kPhase2 - 1}});
+  for (ResourceId r = 50'000; r < 50'004; ++r) {
+    ceis.push_back({{r, kPhase2, k - 1}});
+  }
+  const auto problem = MakeProblemOneCeiPerProfile(kResources, k, 50, ceis);
+
+  FaultSpec spec;
+  spec.defaults.transient_error_prob = 1.0;
+  spec.retry_budget = 0.0;  // spent from the start: no retry ever goes out
+  FaultInjector injector(spec, kResources, /*seed=*/1);
+  auto policy = MakePolicy("s-edf");
+  ASSERT_TRUE(policy.ok());
+  SchedulerOptions options;
+  options.fault_injector = &injector;
+  ManualRun run(problem, policy->get(), options);
+  run.StepTo(kPhase2 - 1);
+  EXPECT_EQ(run.scheduler.stats().probes_issued, 1000);
+
+  int64_t phase2_suppressed = 0;
+  for (Chronon t = kPhase2; t < k; ++t) {
+    const int64_t before = run.scheduler.stats().retries_suppressed;
+    run.StepTo(t);
+    const int64_t added = run.scheduler.stats().retries_suppressed - before;
+    EXPECT_LE(added, 4) << "chronon " << t;
+    phase2_suppressed += added;
+  }
+  EXPECT_GT(phase2_suppressed, 0);
+  EXPECT_EQ(run.scheduler.stats().probes_retried, 0);
 }
 
 TEST(FaultSchedulerTest, HalfOpenTrialSuccessClosesBreaker) {

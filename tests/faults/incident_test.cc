@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -396,8 +398,108 @@ TEST(IncidentDetectorTest, TrialSelectionIsDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
+// DomainCoverage: the flat resource -> covering-domains table.
+// ---------------------------------------------------------------------------
+
+TEST(DomainCoverageTest, MatchesCoversForEveryResource) {
+  IncidentDomain evens = Domain("evens", 0.1, 0.2, 1.0);
+  evens.stride = 2;
+  IncidentDomain thirds = Domain("thirds", 0.1, 0.2, 1.0);
+  thirds.stride = 3;
+  thirds.offset = 1;
+  IncidentDomain listed = Domain("listed", 0.1, 0.2, 1.0);
+  listed.members = {0, 5, 7, 40};  // 40 lies beyond the fleet
+  IncidentDomain both = Domain("both", 0.1, 0.2, 1.0);
+  both.stride = 5;
+  both.offset = 4;
+  both.members = {1, 4, 6};  // 4 is also selected by the stride
+  const std::vector<IncidentDomain> domains = {evens, thirds, listed, both};
+
+  constexpr uint32_t kResources = 30;
+  const DomainCoverage coverage(domains, kResources);
+  for (ResourceId r = 0; r < kResources; ++r) {
+    std::vector<uint32_t> expected;
+    for (uint32_t d = 0; d < domains.size(); ++d) {
+      if (domains[d].Covers(r)) expected.push_back(d);
+    }
+    const std::span<const uint32_t> got = coverage.DomainsCovering(r);
+    EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), expected)
+        << "resource " << r;
+  }
+  // Overlaps resolve to every covering domain, in declaration order.
+  const std::span<const uint32_t> four = coverage.DomainsCovering(4);
+  EXPECT_EQ(std::vector<uint32_t>(four.begin(), four.end()),
+            (std::vector<uint32_t>{0, 1, 3}));
+  // Out-of-range resources are uncovered, even where a selector or member
+  // list would match them.
+  EXPECT_TRUE(coverage.DomainsCovering(kResources).empty());
+  EXPECT_TRUE(coverage.DomainsCovering(40).empty());
+  EXPECT_TRUE(coverage.DomainsCovering(~ResourceId{0}).empty());
+  // Without domains nothing is covered.
+  EXPECT_TRUE(DomainCoverage({}, kResources).DomainsCovering(0).empty());
+  EXPECT_TRUE(DomainCoverage().DomainsCovering(0).empty());
+
+  // The injector resolves the same table.
+  FaultSpec spec;
+  spec.incidents = domains;
+  FaultInjector injector(spec, kResources, 1);
+  for (ResourceId r = 0; r <= kResources; ++r) {
+    const std::span<const uint32_t> a = coverage.DomainsCovering(r);
+    const std::span<const uint32_t> b = injector.DomainsCovering(r);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "resource " << r;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Scheduler integration: stats, audit, and the determinism contracts.
 // ---------------------------------------------------------------------------
+
+TEST(IncidentSchedulerTest, SuppressionCountsLiveDemandNotTheFleet) {
+  // incident_probes_suppressed counts live candidate EIs an open fleet
+  // breaker withholds, not the resources it covers. One domain covers a
+  // fleet of 10^5, every probe fails so the detector opens within a few
+  // chronons and stays open, and only six needs are live: each chronon may
+  // add at most six suppressions.
+  constexpr uint32_t kResources = 100'000;
+  constexpr Chronon k = 80;
+  FaultSpec spec;
+  spec.defaults.transient_error_prob = 1.0;
+  IncidentDomain all = Domain("all", 0.0, 1.0, 1.0);  // never truly active
+  all.stride = 1;
+  spec.incidents = {all};
+  FaultInjector injector(spec, kResources, 7);
+
+  std::vector<Cei> ceis(6);
+  for (size_t i = 0; i < ceis.size(); ++i) {
+    ceis[i].id = static_cast<CeiId>(i);
+    ExecutionInterval ei;
+    ei.id = static_cast<EiId>(i);
+    ei.resource = static_cast<ResourceId>(10 * (i + 1));
+    ei.start = 0;
+    ei.finish = k - 1;
+    ceis[i].eis = {ei};
+  }
+  auto policy = MakePolicy("m-edf", 17);
+  ASSERT_TRUE(policy.ok());
+  SchedulerOptions options;
+  options.fault_injector = &injector;
+  OnlineScheduler scheduler(kResources, k, BudgetVector::Uniform(2),
+                            policy->get(), options);
+  for (const Cei& cei : ceis) ASSERT_TRUE(scheduler.AddArrival(&cei, 0).ok());
+
+  int64_t open_chronons = 0;
+  for (Chronon t = 0; t < k; ++t) {
+    const int64_t before = scheduler.stats().incident_probes_suppressed;
+    ASSERT_TRUE(scheduler.Step(t, nullptr).ok());
+    const int64_t added =
+        scheduler.stats().incident_probes_suppressed - before;
+    EXPECT_LE(added, static_cast<int64_t>(ceis.size())) << "chronon " << t;
+    if (scheduler.incident_detector()->Open(0)) ++open_chronons;
+  }
+  EXPECT_GT(open_chronons, k / 2);
+  EXPECT_GT(scheduler.stats().incident_probes_suppressed, 0);
+}
 
 TEST(IncidentSchedulerTest, IncidentRunPopulatesStatsAndPassesAudits) {
   Rng rng(0x1DC1);
@@ -519,6 +621,9 @@ TEST(IncidentSchedulerTest, ThreadCountDoesNotChangeIncidentRuns) {
   IncidentDomain d = Domain("fleet", 0.05, 0.05, 1.0);
   d.stride = 2;
   spec.incidents = {d};
+  // Spent mid-run, so the shards' retry-budget gate tallies are compared
+  // too.
+  spec.retry_budget = 12.0;
 
   const auto problem = RandomInstance(rng, 10, 150, 2, 50);
   std::vector<OnlineRunResult> runs;
@@ -550,6 +655,9 @@ TEST(IncidentSchedulerTest, ThreadCountDoesNotChangeIncidentRuns) {
             runs[1].stats.incident_probes_suppressed);
   EXPECT_EQ(runs[0].stats.incident_windows_detected,
             runs[1].stats.incident_windows_detected);
+  EXPECT_GT(runs[0].stats.retries_suppressed, 0);
+  EXPECT_EQ(runs[0].stats.retries_suppressed,
+            runs[1].stats.retries_suppressed);
 }
 
 TEST(IncidentSchedulerTest, DetectionRecoversCompletenessUnderLongIncidents) {

@@ -139,6 +139,29 @@ TEST(SerializeTest, MalformedInputsRejected) {
           .ok());
 }
 
+TEST(SerializeTest, NegativeBudgetsAreInputErrors) {
+  // Budgets are probe capacities: a negative one is an input error, never
+  // the BudgetVector CHECK that would abort the process.
+  auto uniform = ProblemFromText(
+      "webmon-problem 1\nresources 2\nchronons 3\nbudget uniform -1\n");
+  ASSERT_FALSE(uniform.ok());
+  EXPECT_EQ(uniform.status().code(), StatusCode::kInvalidArgument);
+  auto per_chronon = ProblemFromText(
+      "webmon-problem 1\nresources 2\nchronons 3\n"
+      "budget perchronon 1 -2 1\n");
+  ASSERT_FALSE(per_chronon.ok());
+  EXPECT_EQ(per_chronon.status().code(), StatusCode::kInvalidArgument);
+  auto first = ProblemFromText(
+      "webmon-problem 1\nresources 2\nchronons 3\n"
+      "budget perchronon -1 0 0\n");
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kInvalidArgument);
+  // Zero stays a legal capacity.
+  EXPECT_TRUE(ProblemFromText("webmon-problem 1\nresources 2\nchronons 3\n"
+                              "budget perchronon 0 0 0\n")
+                  .ok());
+}
+
 TEST(SerializeTest, FileRoundTrip) {
   const ProblemInstance original = RichInstance();
   const std::string path = ::testing::TempDir() + "/webmon_problem_test.txt";

@@ -1,19 +1,22 @@
 // Counter-based regression test for the steady-state allocation contract
 // (docs/PERFORMANCE.md "Memory & sustained throughput"): after warm-up, a
-// fault-free OnlineScheduler::Step performs ZERO heap allocations — the
-// per-chronon event buckets recycle through the EventRing free lists, the
-// slot columns and ranking scratch have reached their high-water capacity,
-// and nothing per-tick touches the heap.
+// single-threaded OnlineScheduler::Step performs ZERO heap allocations,
+// with or without a fault injector — the per-chronon event buckets recycle
+// through the EventRing free lists, the slot columns and ranking scratch
+// have reached their high-water capacity, and nothing per-tick touches the
+// heap.
 //
 // This test lives in its own binary: WEBMON_DEFINE_COUNTING_OPERATOR_NEW()
 // replaces the process-global operator new/delete with counting versions,
 // which must not leak into the main webmon_tests binary.
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "faults/fault_model.h"
 #include "model/cei.h"
 #include "online/online_scheduler.h"
 #include "policy/policy_factory.h"
@@ -109,6 +112,99 @@ INSTANTIATE_TEST_SUITE_P(
         if (ch == '-') ch = '_';
       }
       return name;
+    });
+
+// The same contract on the fault path, at one thread: with the attempt log
+// pre-sized through SchedulerSizingHints::expected_attempts, a steady-state
+// Step allocates nothing whether the injector fails probes through
+// transients and outages (backoff, breaker, deadline shrink, retries) or
+// also runs a fleet incident domain (the detector's window ring,
+// fleet-breaker gating and trials). The fault-free case is the test above.
+enum class FaultConfig { kTransientsAndOutages, kIncidentDomain };
+
+class AllocSteadyFaultTest
+    : public ::testing::TestWithParam<std::tuple<std::string, FaultConfig>> {
+};
+
+TEST_P(AllocSteadyFaultTest, SteadyStateStepAllocatesNothing) {
+  constexpr uint32_t kResources = 2000;
+  constexpr Chronon kChronons = 400;
+  constexpr Chronon kArrivalChronons = 40;
+  constexpr Chronon kWarmup = 60;
+  constexpr Chronon kMeasured = 120;
+  const auto& [policy_name, config] = GetParam();
+
+  FaultSpec spec;
+  spec.defaults.transient_error_prob = 0.15;
+  spec.defaults.timeout_prob = 0.05;
+  spec.defaults.outage_enter_prob = 0.02;
+  spec.defaults.outage_exit_prob = 0.3;
+  if (config == FaultConfig::kIncidentDomain) {
+    IncidentDomain domain;
+    domain.name = "backbone";
+    domain.stride = 2;
+    domain.enter_prob = 0.05;
+    domain.exit_prob = 0.1;
+    domain.fail_prob = 1.0;
+    spec.incidents.push_back(domain);
+  }
+  FaultInjector injector(spec, kResources, 0xA110C);
+
+  auto policy = MakePolicy(policy_name, 17);
+  ASSERT_TRUE(policy.ok()) << policy.status();
+  const std::vector<Cei> ceis =
+      MakeWorkload(kResources, kChronons, kArrivalChronons, 25, 1);
+  SchedulerOptions options;
+  options.fault_injector = &injector;
+  options.sizing.expected_attempts = 4 * static_cast<size_t>(kChronons);
+  OnlineScheduler scheduler(kResources, kChronons, BudgetVector::Uniform(4),
+                            policy->get(), options);
+  size_t next = 0;
+  for (Chronon t = 0; t < kWarmup; ++t) {
+    while (next < ceis.size() && ceis[next].arrival == t) {
+      ASSERT_TRUE(scheduler.AddArrival(&ceis[next], t).ok());
+      ++next;
+    }
+    ASSERT_TRUE(scheduler.Step(t, nullptr, nullptr).ok());
+  }
+
+  const SchedulerStats stats_before = scheduler.stats();
+  const AllocSnapshot before = SnapshotAllocCounters();
+  for (Chronon t = kWarmup; t < kWarmup + kMeasured; ++t) {
+    ASSERT_TRUE(scheduler.Step(t, nullptr, nullptr).ok());
+  }
+  const AllocSnapshot after = SnapshotAllocCounters();
+  EXPECT_EQ(after.allocations - before.allocations, 0);
+  EXPECT_EQ(after.bytes - before.bytes, 0);
+
+  // The measured window exercised the configuration's path, so the pass is
+  // not vacuous.
+  const SchedulerStats& stats = scheduler.stats();
+  EXPECT_GT(scheduler.NumActiveEis(), 0u);
+  EXPECT_GT(stats.eis_captured, stats_before.eis_captured);
+  EXPECT_GT(stats.probes_failed, stats_before.probes_failed);
+  if (config == FaultConfig::kIncidentDomain) {
+    EXPECT_GT(stats.incident_trial_probes, stats_before.incident_trial_probes);
+    EXPECT_GT(stats.incident_probes_suppressed,
+              stats_before.incident_probes_suppressed);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FaultConfigs, AllocSteadyFaultTest,
+    ::testing::Combine(::testing::Values("s-edf", "m-edf", "mrsf", "w-mrsf",
+                                         "wic", "random", "round-robin"),
+                       ::testing::Values(FaultConfig::kTransientsAndOutages,
+                                         FaultConfig::kIncidentDomain)),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, FaultConfig>>&
+           param) {
+      std::string name = std::get<0>(param.param);
+      for (auto& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name + (std::get<1>(param.param) == FaultConfig::kIncidentDomain
+                         ? "_incident_domain"
+                         : "_transients_outages");
     });
 
 // With ongoing arrivals the tick may still grow the slot columns and ring

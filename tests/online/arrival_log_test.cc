@@ -152,6 +152,16 @@ TEST(ArrivalLogTest, MalformedInputsRejected) {
       << "trailing fields after the declared windows";
 }
 
+TEST(ArrivalLogTest, HugeDeclaredWindowCountIsAStatusNotAnAllocation) {
+  // A submit record's EI count is untrusted: this one declares 2^31
+  // windows and carries one. The parser must reject it as truncated
+  // instead of reserving 48 GiB for windows that are not there.
+  auto parsed = ParseArrivalLog(
+      "webmon-arrivals 2\nsubmit 0 0 0 1 0 2147483648 0 0 5\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ArrivalLogAuditTest, RejectsStructuralViolations) {
   // Sequence numbers must strictly increase.
   EXPECT_FALSE(AuditArrivalLog({Submit(5, 0, 0, 1.0, 0, {{0, 0, 1}}),

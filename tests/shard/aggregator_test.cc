@@ -3,6 +3,8 @@
 // the per-chronon global budget audit, and the AND cross-check tying the
 // capture mask to the shards' fragment lifecycles.
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -230,6 +232,32 @@ TEST(AggregatorTest, BudgetAuditRejectsFleetOverspend) {
   auto ok = AggregateShardStreams({a, b}, ceis, plan, BudgetVector::Uniform(4));
   ASSERT_TRUE(ok.ok()) << ok.status();
   EXPECT_EQ(ok->max_chronon_spend, 4);
+}
+
+TEST(AggregatorTest, SpendOverflowIsRejectedNotWrapped) {
+  // Each stream passes AuditShardStream on its own (one positive spend per
+  // chronon), but their sum does not fit in int64_t. Wrapped, it would be
+  // negative and pass the global-budget audit.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<ShardCeiSpec> ceis = {
+      MakeCei(5, 0, {{0, 0, 8}, {1, 0, 8}})};
+  const PartitionPlan plan = PlanFor(2, 2, ceis);
+  const ShardStream a = StreamBuilder(0, 2, 2, 10).Spend(0, kMax).Build();
+  const ShardStream b = StreamBuilder(1, 2, 2, 10).Spend(0, kMax).Build();
+  auto same_chronon =
+      AggregateShardStreams({a, b}, ceis, plan, BudgetVector::Uniform(4));
+  ASSERT_FALSE(same_chronon.ok());
+  EXPECT_EQ(same_chronon.status().code(), StatusCode::kFailedPrecondition);
+
+  // Within budget at every chronon, but the run total overflows.
+  const std::vector<ShardCeiSpec> one = {MakeCei(5, 0, {{0, 0, 8}})};
+  const PartitionPlan single = PlanFor(1, 1, one);
+  const ShardStream twice =
+      StreamBuilder(0, 1, 1, 10).Spend(0, kMax).Spend(1, kMax).Build();
+  auto total =
+      AggregateShardStreams({twice}, one, single, BudgetVector::Uniform(kMax));
+  ASSERT_FALSE(total.ok());
+  EXPECT_EQ(total.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(AggregatorTest, AndCrossCheckCatchesMissingFragmentCapture) {

@@ -49,6 +49,22 @@
 namespace webmon {
 namespace {
 
+// Parses argv into `flags`, then rejects negative capacities: a budget,
+// resource count or epoch length below zero is a usage error (exit 2),
+// never a CHECK abort inside the library. Defaults are non-negative, so
+// only flags set on the command line need the check.
+Status ParseFlags(FlagSet& flags, int argc, const char* const* argv) {
+  WEBMON_RETURN_IF_ERROR(flags.Parse(argc, argv));
+  for (const char* name : {"budget", "resources", "chronons"}) {
+    if (flags.WasSet(name) && flags.GetInt(name) < 0) {
+      return Status::InvalidArgument(std::string("--") + name +
+                                     " must be >= 0, got " +
+                                     std::to_string(flags.GetInt(name)));
+    }
+  }
+  return Status::OK();
+}
+
 void AddCommonTraceFlags(FlagSet& flags) {
   flags.AddString("trace", "poisson", "trace kind: poisson|auction|news")
       .AddInt("resources", 1000, "number of resources n (poisson)")
@@ -143,7 +159,7 @@ int RunCommand(int argc, const char* const* argv) {
               "schedules are identical at any thread count")
       .AddBool("timing", false, "print per-phase scheduler time columns");
   AddFaultFlags(flags);
-  if (Status st = flags.Parse(argc, argv); !st.ok()) {
+  if (Status st = ParseFlags(flags, argc, argv); !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
@@ -251,7 +267,7 @@ int InspectCommand(int argc, const char* const* argv) {
   FlagSet flags("webmon_cli inspect: print trace statistics");
   AddCommonTraceFlags(flags);
   flags.AddString("file", "", "load a saved trace instead of generating");
-  if (Status st = flags.Parse(argc, argv); !st.ok()) {
+  if (Status st = ParseFlags(flags, argc, argv); !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
@@ -312,7 +328,7 @@ int QueryCommand(int argc, const char* const* argv) {
       .AddInt("budget", 1, "probes per chronon")
       .AddString("policy", "mrsf", "scheduling policy")
       .AddInt("seed", 1, "RNG seed");
-  if (Status st = flags.Parse(argc, argv); !st.ok()) {
+  if (Status st = ParseFlags(flags, argc, argv); !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
@@ -400,7 +416,7 @@ int GenerateCommand(int argc, const char* const* argv) {
       .AddInt("window", 10, "capture window w")
       .AddInt("budget", 1, "probes per chronon C")
       .AddString("out", "instance.webmon", "output file");
-  if (Status st = flags.Parse(argc, argv); !st.ok()) {
+  if (Status st = ParseFlags(flags, argc, argv); !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
@@ -451,7 +467,7 @@ int ReplayCommand(int argc, const char* const* argv) {
               "ranking threads per scheduler (0 = hardware concurrency)")
       .AddBool("timing", false, "print per-phase scheduler time columns");
   AddFaultFlags(flags);
-  if (Status st = flags.Parse(argc, argv); !st.ok()) {
+  if (Status st = ParseFlags(flags, argc, argv); !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
@@ -572,7 +588,7 @@ int OfflineCommand(int argc, const char* const* argv) {
       .AddInt("max-states", 50'000'000, "exact search state budget")
       .AddBool("timing", false,
                "print search counters and per-phase timers");
-  if (Status st = flags.Parse(argc, argv); !st.ok()) {
+  if (Status st = ParseFlags(flags, argc, argv); !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
@@ -712,7 +728,7 @@ int IngestCommand(int argc, const char* const* argv) {
       .AddBool("verify-replay", true,
                "replay the arrival log serially and diff every observable");
   AddFaultFlags(flags);
-  if (Status st = flags.Parse(argc, argv); !st.ok()) {
+  if (Status st = ParseFlags(flags, argc, argv); !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
@@ -854,7 +870,7 @@ int ShardCommand(int argc, const char* const* argv) {
                "run both serial and parallel shard execution and require "
                "byte-identical streams and aggregate")
       .AddInt("seed", 1, "workload RNG seed");
-  if (Status st = flags.Parse(argc, argv); !st.ok()) {
+  if (Status st = ParseFlags(flags, argc, argv); !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
