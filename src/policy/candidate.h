@@ -52,6 +52,10 @@ struct CeiState {
   /// rather than by expiry — distinguishes the terminal states for the
   /// lifecycle audit without adding a branch to the hot liveness checks.
   bool cancelled = false;
+  /// The scheduler's position of this state in its state table. Scheduler
+  /// bookkeeping: the ordered candidate index keys its per-state generation
+  /// words by it.
+  uint32_t index = 0;
   /// The chronon the scheduler registered this CEI at (AddArrival's `now`).
   /// Scheduler bookkeeping: cancellation uses it to tell whether an EI was
   /// admitted straight to the active index (start <= admitted_at) or parked

@@ -26,7 +26,7 @@ class MrsfPolicy final : public Policy {
   Level level() const override { return Level::kRank; }
   double Value(const CandidateEi& cand, Chronon now) const override;
   /// The residual ignores `now` entirely; it moves only on captures, so the
-  /// scheduler reuses cached values between capture events.
+  /// scheduler can rank from an ordered index that it re-keys on captures.
   bool ValueStableBetweenCaptures() const override { return true; }
 };
 

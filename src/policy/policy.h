@@ -47,7 +47,7 @@ class Policy {
   /// the default does nothing.
   ///
   /// The online scheduler passes its own active list, not a copy, before
-  /// the chronon's ranking pass prunes it: entries whose IsLive() is false
+  /// the chronon's compaction prunes it: entries whose IsLive() is false
   /// (captured, failed, or of a CEI that completed, died, or was cancelled)
   /// may still be present and must be skipped. The live entries are
   /// exactly the activated, uncaptured EIs of live CEIs whose window
@@ -68,9 +68,12 @@ class Policy {
 
   /// True iff Value(cand, now) is independent of `now` and changes only
   /// when cand.state's capture progress changes (e.g. MRSF's residual
-  /// rank). The scheduler then caches the value per candidate, keyed on
-  /// CeiState::num_captured, instead of revaluing every chronon. The
-  /// default (false) revalues each chronon.
+  /// rank). With uniform costs and no fault injector the scheduler then
+  /// keeps every activated EI in an ordered index and calls Value only when
+  /// the EI is activated and again each time its CEI captures one of its
+  /// EIs, instead of for every live candidate each chronon; otherwise it
+  /// values candidates each chronon like any other policy. The default
+  /// (false) always revalues each chronon.
   virtual bool ValueStableBetweenCaptures() const { return false; }
 
   /// Called by the scheduler after it decides to probe `resource` at `now`.

@@ -21,7 +21,8 @@ class WeightedMrsfPolicy final : public Policy {
   Level level() const override { return Level::kRank; }
   double Value(const CandidateEi& cand, Chronon now) const override;
   /// Residual / utility is `now`-independent like MRSF's residual, so
-  /// cached values stay valid between capture events.
+  /// values stay valid between capture events and the scheduler can rank
+  /// from an ordered index.
   bool ValueStableBetweenCaptures() const override { return true; }
 };
 

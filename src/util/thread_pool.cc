@@ -28,8 +28,7 @@ int ThreadPool::DefaultThreads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-void ThreadPool::ParallelFor(int num_tasks,
-                             const std::function<void(int)>& fn) {
+void ThreadPool::ParallelFor(int num_tasks, TaskRef fn) {
   if (num_tasks <= 0) return;
   if (workers_.empty() || num_tasks == 1) {
     for (int t = 0; t < num_tasks; ++t) fn(t);
@@ -60,7 +59,7 @@ void ThreadPool::ParallelFor(int num_tasks,
 void ThreadPool::WorkerLoop() {
   uint64_t seen_epoch = 0;
   for (;;) {
-    const std::function<void(int)>* job = nullptr;
+    const TaskRef* job = nullptr;
     int num_tasks = 0;
     {
       MutexLock lock(mu_);

@@ -107,7 +107,9 @@ LINE_COMMENT = re.compile(r"//.*$")
 HOTPATH_FUNCTIONS = {
     "src/online/online_scheduler.cc": {
         "Step", "RankShard", "Activate", "AdmitActive", "ProcessExpiries",
-        "MarkFailed", "MoveSlot", "IssueProbe", "RecordProbe",
+        "MarkFailed", "MoveSlot", "IssueProbe", "RecordProbe", "Capture",
+        "IndexPush", "RebuildIndex", "SelectFromIndex", "RekeyCei",
+        "CaptureAndCompact",
     },
 }
 HOTPATH_ALLOW = "hotpath-alloc-ok:"

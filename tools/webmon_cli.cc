@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <utility>
 
 #include "faults/fault_model.h"
 #include "model/schedule_audit.h"
@@ -49,10 +50,20 @@
 namespace webmon {
 namespace {
 
-// Parses argv into `flags`, then rejects negative capacities: a budget,
-// resource count or epoch length below zero is a usage error (exit 2),
-// never a CHECK abort inside the library. Defaults are non-negative, so
-// only flags set on the command line need the check.
+// Largest accepted --resources and --chronons: ten times the largest
+// resource count the benches run (n = 10^6), and a million-chronon epoch.
+// Above them a resource count no longer fits the 32-bit ResourceId the
+// subcommands narrow it to, and sizing the per-resource tables or the
+// per-chronon event rings can exhaust memory.
+constexpr int64_t kMaxResources = 10'000'000;
+constexpr int64_t kMaxChronons = 1'000'000;
+
+// Parses argv into `flags`, then rejects out-of-range capacities: a
+// budget, resource count or epoch length below zero, or a resource count
+// or epoch length above the bounds above, is a usage error (exit 2), never
+// a CHECK abort, a silently narrowed count or an allocation failure inside
+// the library. Defaults are in range, so only flags set on the command line
+// need the check.
 Status ParseFlags(FlagSet& flags, int argc, const char* const* argv) {
   WEBMON_RETURN_IF_ERROR(flags.Parse(argc, argv));
   for (const char* name : {"budget", "resources", "chronons"}) {
@@ -62,13 +73,23 @@ Status ParseFlags(FlagSet& flags, int argc, const char* const* argv) {
                                      std::to_string(flags.GetInt(name)));
     }
   }
+  for (const auto& [name, max] : {std::pair<const char*, int64_t>{
+                                      "resources", kMaxResources},
+                                  {"chronons", kMaxChronons}}) {
+    if (flags.WasSet(name) && flags.GetInt(name) > max) {
+      return Status::InvalidArgument(
+          std::string("--") + name + " must be <= " + std::to_string(max) +
+          ", got " + std::to_string(flags.GetInt(name)));
+    }
+  }
   return Status::OK();
 }
 
 void AddCommonTraceFlags(FlagSet& flags) {
   flags.AddString("trace", "poisson", "trace kind: poisson|auction|news")
-      .AddInt("resources", 1000, "number of resources n (poisson)")
-      .AddInt("chronons", 1000, "epoch length K")
+      .AddInt("resources", 1000,
+              "number of resources n (poisson), at most 10^7")
+      .AddInt("chronons", 1000, "epoch length K, at most 10^6")
       .AddDouble("lambda", 20.0, "updates per resource per epoch (poisson)")
       .AddInt("seed", 1, "RNG seed");
 }
@@ -570,8 +591,9 @@ int OfflineCommand(int argc, const char* const* argv) {
   flags.AddString("instance", "",
                   "saved instance file; when empty, generate a poisson "
                   "workload from the flags below")
-      .AddInt("resources", 20, "number of resources n (generated)")
-      .AddInt("chronons", 48, "epoch length K (generated)")
+      .AddInt("resources", 20,
+              "number of resources n (generated), at most 10^7")
+      .AddInt("chronons", 48, "epoch length K (generated), at most 10^6")
       .AddDouble("lambda", 20.0, "updates per resource per epoch (generated)")
       .AddInt("profiles", 12, "number of client profiles m (generated)")
       .AddInt("rank", 2, "CEI rank k (generated)")
@@ -710,8 +732,8 @@ int IngestCommand(int argc, const char* const* argv) {
   FlagSet flags(
       "webmon_cli ingest: stream needs from producer threads into a ticking "
       "proxy, then prove the run replays deterministically");
-  flags.AddInt("resources", 64, "number of resources n")
-      .AddInt("chronons", 2000, "epoch length K")
+  flags.AddInt("resources", 64, "number of resources n, at most 10^7")
+      .AddInt("chronons", 2000, "epoch length K, at most 10^6")
       .AddInt("budget", 2, "probes per chronon")
       .AddString("policy", "s-edf", "scheduling policy")
       .AddInt("producer-threads", 4, "concurrent producer threads")
@@ -854,8 +876,8 @@ int ShardCommand(int argc, const char* const* argv) {
       "webmon_cli shard: run one epoch on the sharded scheduler tier "
       "(partition, per-shard scheduling, audited stream merge) over a "
       "synthetic workload");
-  flags.AddInt("resources", 10000, "number of resources n")
-      .AddInt("chronons", 200, "epoch length K")
+  flags.AddInt("resources", 10000, "number of resources n, at most 10^7")
+      .AddInt("chronons", 200, "epoch length K, at most 10^6")
       .AddInt("shards", 4, "number of scheduler shards")
       .AddInt("arrivals", 50, "CEIs arriving per chronon")
       .AddInt("rank", 2, "EIs per CEI")
