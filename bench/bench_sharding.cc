@@ -20,8 +20,9 @@
 //
 // With --verify (default on), the 4-shard cell runs twice — shards
 // executed serially and on a thread pool — and the two runs' serialized
-// aggregate, per-shard event streams, and per-shard arrival logs are
-// compared byte-for-byte (the replay-identity acceptance check).
+// aggregate and per-shard event streams are compared byte-for-byte, and
+// their per-shard arrival logs event by event (ArrivalEvent::operator==;
+// the replay-identity acceptance check).
 //
 // Pass --json <path> to emit the measurements (the CI perf artifact,
 // BENCH_sharding.json).

@@ -7,6 +7,7 @@
 #ifndef WEBMON_MODEL_CEI_H_
 #define WEBMON_MODEL_CEI_H_
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,15 @@ struct Cei {
   /// "CEI{id p=.. arrival=.. k EIs}" for diagnostics.
   std::string ToString() const;
 };
+
+/// True iff `weight` is a usable CEI utility: finite and positive. A NaN
+/// weight would break the strict order W-MRSF ranks by (NaN compares false
+/// both ways), and neither NaN nor an infinity survives the arrival log's
+/// text form, so every entry point (ProblemInstance::Validate,
+/// Proxy::Submit, AggregateShardStreams) rejects the rest.
+inline bool IsValidWeight(double weight) {
+  return std::isfinite(weight) && weight > 0.0;
+}
 
 /// Terminal-state audit of a CEI's life inside the online scheduler. A CEI
 /// moves kUnknown -> kPending on arrival and then reaches exactly one of the

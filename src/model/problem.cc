@@ -78,9 +78,9 @@ Status ProblemInstance::Validate() const {
         return Status::InvalidArgument("CEI " + std::to_string(cei.id) +
                                        " profile backlink mismatch");
       }
-      if (cei.weight <= 0.0) {
+      if (!IsValidWeight(cei.weight)) {
         return Status::InvalidArgument("CEI " + std::to_string(cei.id) +
-                                       " has non-positive weight");
+                                       " weight must be finite and positive");
       }
       if (cei.required > cei.eis.size()) {
         return Status::InvalidArgument(

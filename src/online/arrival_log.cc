@@ -1,34 +1,13 @@
 #include "online/arrival_log.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <vector>
 
+#include "util/string_util.h"
+
 namespace webmon {
 namespace {
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
-}
-
-void AppendI64(std::string* out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out->append(buf);
-}
-
-void AppendDouble(std::string* out, double v) {
-  // 17 significant digits: every finite double round-trips bit-exactly
-  // through strtod, and the common literals print short ("1.5").
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
 
 Status Malformed(size_t line, const std::string& what) {
   return Status::InvalidArgument("arrival log line " + std::to_string(line) +
@@ -43,42 +22,42 @@ std::string SerializeArrivalLog(const ArrivalLog& log) {
     switch (event.kind) {
       case ArrivalKind::kSubmit: {
         out += "submit ";
-        AppendU64(&out, event.seq);
+        AppendNumber(&out, event.seq);
         out += ' ';
-        AppendI64(&out, event.effective);
+        AppendNumber(&out, event.effective);
         out += ' ';
-        AppendU64(&out, event.assigned_id);
+        AppendNumber(&out, event.assigned_id);
         out += ' ';
-        AppendDouble(&out, event.weight);
+        AppendNumber(&out, event.weight);
         out += ' ';
-        AppendU64(&out, event.required);
+        AppendNumber(&out, event.required);
         out += ' ';
-        AppendU64(&out, event.eis.size());
+        AppendNumber(&out, event.eis.size());
         for (const auto& [resource, start, finish] : event.eis) {
           out += ' ';
-          AppendU64(&out, resource);
+          AppendNumber(&out, resource);
           out += ' ';
-          AppendI64(&out, start);
+          AppendNumber(&out, start);
           out += ' ';
-          AppendI64(&out, finish);
+          AppendNumber(&out, finish);
         }
         break;
       }
       case ArrivalKind::kPush:
         out += "push ";
-        AppendU64(&out, event.seq);
+        AppendNumber(&out, event.seq);
         out += ' ';
-        AppendI64(&out, event.effective);
+        AppendNumber(&out, event.effective);
         out += ' ';
-        AppendU64(&out, event.resource);
+        AppendNumber(&out, event.resource);
         break;
       case ArrivalKind::kCancel:
         out += "cancel ";
-        AppendU64(&out, event.seq);
+        AppendNumber(&out, event.seq);
         out += ' ';
-        AppendI64(&out, event.effective);
+        AppendNumber(&out, event.effective);
         out += ' ';
-        AppendU64(&out, event.assigned_id);
+        AppendNumber(&out, event.assigned_id);
         break;
     }
     out += '\n';

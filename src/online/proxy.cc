@@ -57,8 +57,9 @@ std::optional<Proxy::PendingEvent> Proxy::MakeSubmitEventLocked(
     return reject(Status::InvalidArgument(
         "a complex need requires at least one EI"));
   }
-  if (weight <= 0.0) {
-    return reject(Status::InvalidArgument("need weight must be positive"));
+  if (!IsValidWeight(weight)) {
+    return reject(
+        Status::InvalidArgument("need weight must be finite and positive"));
   }
   if (required > eis.size()) {
     return reject(Status::InvalidArgument(
@@ -261,6 +262,14 @@ StatusOr<std::vector<ResourceId>> Proxy::Tick() {
   WEBMON_RETURN_IF_ERROR(scheduler_.Step(now, &schedule_, &probed));
   now_.store(now + 1, std::memory_order_release);
   return probed;
+}
+
+StatusOr<ArrivalLog> Proxy::TakeArrivalLog() {
+  if (!Done()) {
+    return Status::FailedPrecondition(
+        "the arrival log is released only once the epoch is done");
+  }
+  return std::move(arrival_log_);
 }
 
 double Proxy::CompletenessSoFar() const {

@@ -144,10 +144,10 @@ class Proxy {
   /// callbacks) concurrently with Tick(). The need takes effect at the
   /// chronon it is stamped with — the next Tick() if none is in flight, the
   /// one after when racing with (or called from inside) a tick. Validation
-  /// (empty EI list, non-positive weight, `required` > |eis|, unknown
-  /// resource, start > finish, window entirely in the past) happens against
-  /// the stamped chronon; rejected needs consume no CEI id and are not
-  /// logged.
+  /// (empty EI list, a weight that is not finite and positive, `required` >
+  /// |eis|, unknown resource, start > finish, window entirely in the past)
+  /// happens against the stamped chronon; rejected needs consume no CEI id
+  /// and are not logged.
   StatusOr<CeiId> Submit(
       const std::vector<std::tuple<ResourceId, Chronon, Chronon>>& eis,
       double weight = 1.0, uint32_t required = 0);
@@ -200,6 +200,11 @@ class Proxy {
   /// Every accepted ingestion event in drain order (the replay record).
   /// Ticking thread / quiesced only.
   const ArrivalLog& arrival_log() const { return arrival_log_; }
+  /// Hands the finished epoch's arrival log to the caller without copying
+  /// its events; the proxy's own log is empty afterwards. Fails with
+  /// FailedPrecondition before Done(), while the log may still grow.
+  /// Ticking thread / quiesced only.
+  StatusOr<ArrivalLog> TakeArrivalLog();
   /// Consistent snapshot of the mailbox accept/reject/drain counters, taken
   /// under the mailbox lock. Safe from any thread, mid-run included.
   IngestionStats ingestion_stats() const;

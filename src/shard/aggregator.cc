@@ -1,66 +1,46 @@
 #include "shard/aggregator.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include <algorithm>
 #include <limits>
 
+#include "model/cei.h"
 #include "util/check.h"
 #include "util/id_map.h"
+#include "util/string_util.h"
 
 namespace webmon {
-namespace {
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
-}
-
-void AppendI64(std::string* out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out->append(buf);
-}
-
-void AppendDouble(std::string* out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
-
-}  // namespace
 
 std::string SerializeAggregateResult(const AggregateResult& result) {
   std::string out = "webmon-aggregate 1\nshards ";
-  AppendU64(&out, result.num_shards);
+  AppendNumber(&out, result.num_shards);
   out += "\nceis ";
-  AppendI64(&out, result.total_ceis);
+  AppendNumber(&out, result.total_ceis);
   out += " captured ";
-  AppendI64(&out, result.ceis_captured);
+  AppendNumber(&out, result.ceis_captured);
   out += " cancelled ";
-  AppendI64(&out, result.ceis_cancelled);
+  AppendNumber(&out, result.ceis_cancelled);
   out += "\ncross ";
-  AppendI64(&out, result.cross_shard_ceis);
+  AppendNumber(&out, result.cross_shard_ceis);
   out += " cross-captured ";
-  AppendI64(&out, result.cross_shard_captured);
+  AppendNumber(&out, result.cross_shard_captured);
   out += "\nprobes ";
-  AppendI64(&out, result.probes);
+  AppendNumber(&out, result.probes);
   out += " pushes ";
-  AppendI64(&out, result.pushes);
+  AppendNumber(&out, result.pushes);
   out += " attempts ";
-  AppendI64(&out, result.total_attempts);
+  AppendNumber(&out, result.total_attempts);
   out += " max-spend ";
-  AppendI64(&out, result.max_chronon_spend);
+  AppendNumber(&out, result.max_chronon_spend);
   out += "\ncompleteness ";
-  AppendDouble(&out, result.completeness);
+  AppendNumber(&out, result.completeness);
   out += " weighted ";
-  AppendDouble(&out, result.weighted_completeness);
+  AppendNumber(&out, result.weighted_completeness);
   out += '\n';
   for (const auto& [chronon, cei] : result.captures) {
     out += "capture ";
-    AppendI64(&out, chronon);
+    AppendNumber(&out, chronon);
     out += ' ';
-    AppendU64(&out, cei);
+    AppendNumber(&out, cei);
     out += '\n';
   }
   return out;
@@ -118,6 +98,10 @@ StatusOr<AggregateResult> AggregateShardStreams(
     if (cei.eis.empty()) {
       return Status::InvalidArgument("CEI " + std::to_string(cei.id) +
                                      " has no EIs");
+    }
+    if (!IsValidWeight(cei.weight)) {
+      return Status::InvalidArgument("CEI " + std::to_string(cei.id) +
+                                     " weight must be finite and positive");
     }
     size_t e = ei_offset[i];
     for (const auto& [resource, start, finish] : cei.eis) {

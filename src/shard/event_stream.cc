@@ -1,23 +1,11 @@
 #include "shard/event_stream.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <sstream>
+
+#include "util/string_util.h"
 
 namespace webmon {
 namespace {
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
-}
-
-void AppendI64(std::string* out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out->append(buf);
-}
 
 Status Malformed(size_t line, const std::string& what) {
   return Status::InvalidArgument("shard stream line " + std::to_string(line) +
@@ -46,33 +34,33 @@ const char* ShardEventKindName(ShardEventKind kind) {
 
 std::string SerializeShardStream(const ShardStream& stream) {
   std::string out = "webmon-shardstream 1\nshard ";
-  AppendU64(&out, stream.shard_id);
+  AppendNumber(&out, stream.shard_id);
   out += ' ';
-  AppendU64(&out, stream.num_shards);
+  AppendNumber(&out, stream.num_shards);
   out += ' ';
-  AppendU64(&out, stream.num_resources);
+  AppendNumber(&out, stream.num_resources);
   out += ' ';
-  AppendI64(&out, stream.horizon);
+  AppendNumber(&out, stream.horizon);
   out += '\n';
   for (const ShardEvent& event : stream.events) {
     out += ShardEventKindName(event.kind);
     out += ' ';
-    AppendU64(&out, event.seq);
+    AppendNumber(&out, event.seq);
     out += ' ';
-    AppendI64(&out, event.chronon);
+    AppendNumber(&out, event.chronon);
     out += ' ';
     switch (event.kind) {
       case ShardEventKind::kProbe:
       case ShardEventKind::kPush:
-        AppendU64(&out, event.resource);
+        AppendNumber(&out, event.resource);
         break;
       case ShardEventKind::kCapture:
       case ShardEventKind::kExpire:
       case ShardEventKind::kCancel:
-        AppendU64(&out, event.cei);
+        AppendNumber(&out, event.cei);
         break;
       case ShardEventKind::kSpend:
-        AppendI64(&out, event.attempts);
+        AppendNumber(&out, event.attempts);
         break;
     }
     out += '\n';
@@ -166,23 +154,26 @@ Status AuditShardStream(const ShardStream& stream) {
   Chronon spend_chronon = -1;
   for (size_t i = 0; i < stream.events.size(); ++i) {
     const ShardEvent& event = stream.events[i];
-    const std::string at = "event " + std::to_string(i) + ": ";
+    // The "event i: " prefix is built on the error path only: the audit
+    // runs over every record of every merged stream.
+    auto invalid = [i](const char* what) {
+      return Status::InvalidArgument("event " + std::to_string(i) + ": " +
+                                     what);
+    };
     if (event.seq != i) {
-      return Status::InvalidArgument(
-          at + "sequence numbers must be dense from 0");
+      return invalid("sequence numbers must be dense from 0");
     }
     if (i > 0 && event.chronon < stream.events[i - 1].chronon) {
-      return Status::InvalidArgument(at + "chronons must not decrease");
+      return invalid("chronons must not decrease");
     }
     if (event.chronon < 0 || event.chronon >= stream.horizon) {
-      return Status::InvalidArgument(at + "chronon outside the epoch");
+      return invalid("chronon outside the epoch");
     }
     switch (event.kind) {
       case ShardEventKind::kProbe:
       case ShardEventKind::kPush:
         if (event.resource >= stream.num_resources) {
-          return Status::InvalidArgument(
-              at + "resource outside the global space");
+          return invalid("resource outside the global space");
         }
         break;
       case ShardEventKind::kCapture:
@@ -191,12 +182,10 @@ Status AuditShardStream(const ShardStream& stream) {
         break;
       case ShardEventKind::kSpend:
         if (event.attempts <= 0) {
-          return Status::InvalidArgument(
-              at + "spend must carry a positive attempt count");
+          return invalid("spend must carry a positive attempt count");
         }
         if (event.chronon == spend_chronon) {
-          return Status::InvalidArgument(
-              at + "more than one spend record in a chronon");
+          return invalid("more than one spend record in a chronon");
         }
         spend_chronon = event.chronon;
         break;

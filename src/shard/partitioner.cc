@@ -43,26 +43,30 @@ class UnionFind {
 }  // namespace
 
 uint32_t PartitionPlan::ShardsTouched(const ShardCeiSpec& cei) const {
-  // CEIs have a handful of EIs; a linear dedup over the shard ids beats any
-  // set machinery and is order-independent.
-  uint32_t seen[256];
-  uint32_t count = 0;
-  for (const auto& [resource, start, finish] : cei.eis) {
-    (void)start;
-    (void)finish;
+  // CEIs have a handful of EIs: up to kInline of them, a linear dedup over
+  // a stack array of shard ids (at most one per EI) beats any set
+  // machinery. A wider CEI sorts its shard ids instead.
+  constexpr size_t kInline = 64;
+  auto shard_of = [&](const auto& ei) {
+    const ResourceId resource = std::get<0>(ei);
     WEBMON_CHECK_LT(resource, num_resources);
-    const uint32_t s = shard_of_resource[resource];
-    bool found = false;
-    for (uint32_t i = 0; i < count; ++i) {
-      if (seen[i] == s) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      if (count < 256) seen[count] = s;
-      ++count;
-    }
+    return shard_of_resource[resource];
+  };
+  if (cei.eis.size() > kInline) {
+    std::vector<uint32_t> shards;
+    shards.reserve(cei.eis.size());
+    for (const auto& ei : cei.eis) shards.push_back(shard_of(ei));
+    // total-order: plain shard ids; tying keys are equal values, and only
+    // the distinct count is read.
+    std::sort(shards.begin(), shards.end());
+    return static_cast<uint32_t>(
+        std::unique(shards.begin(), shards.end()) - shards.begin());
+  }
+  uint32_t seen[kInline];
+  uint32_t count = 0;
+  for (const auto& ei : cei.eis) {
+    const uint32_t s = shard_of(ei);
+    if (std::find(seen, seen + count, s) == seen + count) seen[count++] = s;
   }
   return count;
 }

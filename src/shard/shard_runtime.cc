@@ -103,6 +103,12 @@ Status ShardRuntime::Cancel(CeiId global_id) {
   return status;
 }
 
+Status ShardRuntime::TakeOutputs(ShardStream* stream, ArrivalLog* log) {
+  WEBMON_ASSIGN_OR_RETURN(*log, proxy_.TakeArrivalLog());
+  *stream = std::move(stream_);
+  return Status::OK();
+}
+
 StatusOr<std::vector<ResourceId>> ShardRuntime::Tick() {
   const Chronon chronon = proxy_.now();
   captured_buffer_.clear();

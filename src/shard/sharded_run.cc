@@ -4,7 +4,6 @@
 #include <memory>
 #include <numeric>
 
-#include "online/arrival_log.h"
 #include "policy/policy_factory.h"
 #include "shard/shard_runtime.h"
 #include "util/thread_pool.h"
@@ -170,21 +169,27 @@ StatusOr<ShardedRunResult> RunSharded(const ShardedRunConfig& config,
       std::vector<BudgetVector> budgets,
       SplitShardBudgets(config.global_budget, plan, config.horizon));
 
+  ShardedRunResult result;
+  result.partition = plan.stats;
+  result.shard_budget_max.reserve(config.num_shards);
   std::vector<std::unique_ptr<ShardRuntime>> runtimes;
   runtimes.reserve(config.num_shards);
   for (uint32_t s = 0; s < config.num_shards; ++s) {
     WEBMON_ASSIGN_OR_RETURN(std::unique_ptr<Policy> policy,
                             MakePolicy(config.policy, config.policy_seed));
+    result.shard_budget_max.push_back(budgets[s].Max(config.horizon));
     runtimes.push_back(std::make_unique<ShardRuntime>(
         plan, s, config.horizon, std::move(budgets[s]), std::move(policy),
         config.scheduler_options));
   }
 
   // Shards share nothing and their inputs are fixed, so serial shard order
-  // and pool execution produce identical streams (header contract).
+  // and pool execution produce identical streams (header contract) at any
+  // pool size; the pool never spawns more threads than the machine has.
   std::vector<Status> shard_status(config.num_shards, Status::OK());
   if (config.parallel_shards && config.num_shards > 1) {
-    ThreadPool pool(static_cast<int>(config.num_shards));
+    ThreadPool pool(std::min(static_cast<int>(config.num_shards),
+                             ThreadPool::DefaultThreads()));
     pool.ParallelFor(static_cast<int>(config.num_shards), [&](int s) {
       shard_status[s] =
           RunOneShard(runtimes[s].get(), plan, static_cast<uint32_t>(s),
@@ -199,29 +204,18 @@ StatusOr<ShardedRunResult> RunSharded(const ShardedRunConfig& config,
     if (!shard_status[s].ok()) return shard_status[s];
   }
 
-  ShardedRunResult result;
-  result.partition = plan.stats;
-  result.streams.reserve(config.num_shards);
-  result.arrival_logs.reserve(config.num_shards);
-  result.shard_budget_max.reserve(config.num_shards);
+  // Hand each shard's stream and arrival log to the result as data (moved,
+  // never copied or formatted), then free the shards before the merge.
+  result.streams.resize(config.num_shards);
+  result.arrival_logs.resize(config.num_shards);
   for (uint32_t s = 0; s < config.num_shards; ++s) {
-    const ShardRuntime& runtime = *runtimes[s];
-    result.streams.push_back(runtime.stream());
-    result.arrival_logs.push_back(
-        SerializeArrivalLog(runtime.proxy().arrival_log()));
+    ShardRuntime& runtime = *runtimes[s];
+    WEBMON_RETURN_IF_ERROR(
+        runtime.TakeOutputs(&result.streams[s], &result.arrival_logs[s]));
     result.fragments_submitted += runtime.fragments_submitted();
     result.fragments_rejected += runtime.fragments_rejected();
   }
-  {
-    // Re-derive the split (the budgets were moved into the runtimes).
-    WEBMON_ASSIGN_OR_RETURN(
-        std::vector<BudgetVector> audit_budgets,
-        SplitShardBudgets(config.global_budget, plan, config.horizon));
-    for (uint32_t s = 0; s < config.num_shards; ++s) {
-      result.shard_budget_max.push_back(
-          audit_budgets[s].Max(config.horizon));
-    }
-  }
+  runtimes.clear();
 
   WEBMON_ASSIGN_OR_RETURN(
       result.aggregate,

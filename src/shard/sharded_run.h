@@ -12,10 +12,15 @@
 // Determinism contract: the merged result is a pure function of the
 // (config, workload) pair. Each shard's input sequence is fixed up front,
 // so shards can execute serially in shard order or concurrently on a
-// thread pool (`parallel_shards`) — no shard reads another's state — and
-// the per-shard streams, arrival logs, and the aggregate come out byte-
-// identical either way, at any SchedulerOptions::num_threads per shard.
-// The replay-identity suite (tests/shard/sharded_run_test.cc) pins this.
+// thread pool (`parallel_shards`, at most one thread per core) — no shard
+// reads another's state — and the per-shard streams, arrival logs, and the
+// aggregate come out equal either way (byte-identical once serialized), at
+// any pool size and any SchedulerOptions::num_threads per shard. The
+// replay-identity suite (tests/shard/sharded_run_test.cc) pins this.
+//
+// RunSharded formats nothing: the per-shard streams and arrival logs are
+// moved out of the shards as data, and a caller that persists one
+// serializes it itself (SerializeShardStream, SerializeArrivalLog).
 
 #ifndef WEBMON_SHARD_SHARDED_RUN_H_
 #define WEBMON_SHARD_SHARDED_RUN_H_
@@ -26,6 +31,7 @@
 
 #include "model/schedule.h"
 #include "online/online_scheduler.h"
+#include "online/proxy.h"
 #include "shard/aggregator.h"
 #include "shard/event_stream.h"
 #include "shard/partitioner.h"
@@ -64,11 +70,16 @@ struct ShardedRunResult {
   AggregateResult aggregate;
   /// Per-shard emitted streams, indexed by shard id.
   std::vector<ShardStream> streams;
-  /// Per-shard arrival logs (shard/event_stream.h companions: the proxy-
-  /// level replay record, serialized with SerializeArrivalLog and replayable
-  /// with ReplayArrivalLog), indexed by shard id.
-  std::vector<std::string> arrival_logs;
-  /// Per-shard budget slices actually used, indexed by shard id.
+  /// Per-shard arrival logs, indexed by shard id: each shard proxy's replay
+  /// record, in the shard's LOCAL resource ids. ReplayArrivalLog over the
+  /// shard's owned-resource count, the horizon, its SplitShardBudgets slice,
+  /// a fresh policy from (policy, policy_seed) and scheduler_options
+  /// reproduces the shard's probes, which its stream records as `probe` in
+  /// global ids.
+  /// SerializeArrivalLog persists one.
+  std::vector<ArrivalLog> arrival_logs;
+  /// Per-shard budget slices actually used (the largest per-chronon value
+  /// of each SplitShardBudgets slice), indexed by shard id.
   std::vector<int64_t> shard_budget_max;
   int64_t fragments_submitted = 0;
   int64_t fragments_rejected = 0;

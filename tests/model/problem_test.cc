@@ -1,5 +1,7 @@
 #include "model/problem.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
@@ -92,6 +94,22 @@ TEST(ProblemValidateTest, ArrivalAfterEiExpiryRejected) {
   // Second EI's window [0,2] has fully passed by arrival 5.
   ASSERT_TRUE(builder.AddCei({{0, 5, 8}, {1, 0, 2}}, 5).ok());
   EXPECT_EQ(builder.Build().status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ProblemValidateTest, NonFiniteOrNonPositiveWeightRejected) {
+  for (const double weight : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(), 0.0,
+                              -1.0}) {
+    ProblemBuilder builder(2, 10, BudgetVector::Uniform(1));
+    builder.BeginProfile();
+    ASSERT_TRUE(builder.AddCei({{0, 0, 5}}, -1, weight).ok());
+    EXPECT_EQ(builder.Build().status().code(), StatusCode::kInvalidArgument)
+        << weight;
+  }
+  ProblemBuilder builder(2, 10, BudgetVector::Uniform(1));
+  builder.BeginProfile();
+  ASSERT_TRUE(builder.AddCei({{0, 0, 5}}, -1, 2.5).ok());
+  EXPECT_TRUE(builder.Build().ok());
 }
 
 TEST(ProblemInstanceTest, Counters) {

@@ -1,5 +1,6 @@
 #include "online/proxy.h"
 
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -132,6 +133,21 @@ TEST(ProxyValidationTest, NonPositiveWeightRejected) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(ProxyValidationTest, NonFiniteWeightRejected) {
+  Proxy proxy(1, 10, BudgetVector::Uniform(1), Mrsf());
+  for (const double weight : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(proxy.Submit({{0, 0, 5}}, weight).status().code(),
+              StatusCode::kInvalidArgument)
+        << weight;
+  }
+  EXPECT_TRUE(proxy.Submit({{0, 0, 5}}, 1e308).ok());
+  while (!proxy.Done()) ASSERT_TRUE(proxy.Tick().ok());
+  EXPECT_EQ(proxy.ingestion_stats().submits_rejected, 3);
+  EXPECT_EQ(proxy.arrival_log().size(), 1u);
+}
+
 TEST(ProxyValidationTest, WindowBeyondHorizonRejected) {
   Proxy proxy(1, 10, BudgetVector::Uniform(1), Mrsf());
   // Start past the last chronon: the clamped window is empty.
@@ -192,6 +208,22 @@ TEST(ProxyTest, ArrivalLogRecordsEffectiveChronons) {
   EXPECT_EQ(proxy.ingestion_stats().max_batch, 2);
   EXPECT_EQ(proxy.stats().drain_batches, 2);
   EXPECT_EQ(proxy.stats().drained_arrivals, 2);
+}
+
+TEST(ProxyTest, TakeArrivalLogReleasesOnlyTheFinishedLog) {
+  Proxy proxy(2, 4, BudgetVector::Uniform(1), Mrsf());
+  ASSERT_TRUE(proxy.Submit({{0, 0, 3}}).ok());
+  ASSERT_TRUE(proxy.Tick().ok());
+  EXPECT_EQ(proxy.TakeArrivalLog().status().code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(proxy.Push(1).ok());
+  while (!proxy.Done()) ASSERT_TRUE(proxy.Tick().ok());
+  const ArrivalLog recorded = proxy.arrival_log();
+  auto taken = proxy.TakeArrivalLog();
+  ASSERT_TRUE(taken.ok()) << taken.status();
+  EXPECT_EQ(*taken, recorded);
+  EXPECT_EQ(taken->size(), 2u);
+  EXPECT_TRUE(proxy.arrival_log().empty());
 }
 
 // --- Callback ordering & reentrancy ----------------------------------------

@@ -295,6 +295,21 @@ TEST(AggregatorTest, RejectsMalformedInputs) {
                    .ok());
 }
 
+TEST(AggregatorTest, RejectsNonFiniteOrNonPositiveWeights) {
+  const ShardStream stream = StreamBuilder(0, 1, 2, 10).Build();
+  for (const double weight : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(), 0.0,
+                              -2.0}) {
+    const std::vector<ShardCeiSpec> ceis = {
+        MakeCei(1, 0, {{0, 0, 8}}), MakeCei(2, 0, {{1, 0, 8}}, 0, weight)};
+    const PartitionPlan plan = PlanFor(2, 1, ceis);
+    auto result =
+        AggregateShardStreams({stream}, ceis, plan, BudgetVector::Uniform(1));
+    ASSERT_FALSE(result.ok()) << weight;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << weight;
+  }
+}
+
 TEST(AggregatorTest, SerializationIsDeterministic) {
   const std::vector<ShardCeiSpec> ceis = {
       MakeCei(10, 0, {{0, 0, 5}}), MakeCei(11, 0, {{1, 0, 5}}, 0, 2.5)};

@@ -165,6 +165,26 @@ TEST(PartitionerTest, CoLocatesSmallComponents) {
   }
 }
 
+// ShardsTouched is exact for a CEI wider than any fixed dedup buffer: 301
+// EIs over 300 single-resource shards, the last EI revisiting a shard first
+// seen after the 256th.
+TEST(PartitionerTest, ShardsTouchedIsExactForWideCeis) {
+  constexpr uint32_t kShards = 300;
+  ShardCeiSpec wide;
+  for (ResourceId r = 0; r < kShards; ++r) wide.eis.emplace_back(r, 0, 5);
+  wide.eis.emplace_back(kShards - 1, 0, 5);
+  auto plan = PartitionResources(kShards, kShards, {wide});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  CheckPartitionInvariants(*plan, kShards, kShards);
+  EXPECT_EQ(plan->ShardsTouched(wide), kShards);
+  EXPECT_EQ(plan->stats.cross_shard_ceis, 1);
+  // Narrow CEIs on the same plan take the inline path.
+  ShardCeiSpec narrow;
+  narrow.eis = {{0, 0, 5}, {1, 0, 5}, {0, 1, 6}};
+  EXPECT_EQ(plan->ShardsTouched(narrow), 2u);
+  EXPECT_EQ(plan->ShardsTouched(ShardCeiSpec{}), 0u);
+}
+
 TEST(PartitionerTest, RejectsInvalidShardCounts) {
   EXPECT_FALSE(PartitionResources(10, 0, {}).ok());
   EXPECT_FALSE(PartitionResources(10, 11, {}).ok());

@@ -7,10 +7,12 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "online/arrival_log.h"
 #include "policy/policy_factory.h"
 #include "shard/event_stream.h"
 #include "shard/sharded_run.h"
@@ -64,8 +66,8 @@ std::string Fingerprint(const ShardedRunResult& result) {
   for (const ShardStream& stream : result.streams) {
     out += SerializeShardStream(stream);
   }
-  for (const std::string& log : result.arrival_logs) {
-    out += log;
+  for (const ArrivalLog& log : result.arrival_logs) {
+    out += SerializeArrivalLog(log);
   }
   return out;
 }
@@ -107,6 +109,63 @@ TEST(ShardedRunTest, ReplayIdentityAcrossShardCountsAndPolicies) {
       // Every CEI is accounted for at every shard count.
       EXPECT_EQ(serial->aggregate.total_ceis,
                 static_cast<int64_t>(workload.ceis.size()));
+    }
+  }
+}
+
+// The per-shard log contract (sharded_run.h): replaying shard s's arrival
+// log on a lone proxy over s's owned resources, under s's budget slice and
+// a fresh policy, reissues exactly the probes s's stream records, chronon
+// by chronon and in issue order, once local ids map back to global ones.
+TEST(ShardedRunTest, EachShardArrivalLogReplaysToItsStreamProbes) {
+  constexpr uint32_t kResources = 120;
+  constexpr Chronon kHorizon = 48;
+  const ShardedWorkload workload =
+      MakeWorkload(kResources, kHorizon, /*arrivals_per_chronon=*/4,
+                   /*seed=*/77);
+  for (const std::string& policy : KnownPolicyNames()) {
+    for (const uint32_t shards : {1u, 2u, 4u}) {
+      ShardedRunConfig config = BaseConfig(kResources, kHorizon);
+      config.num_shards = shards;
+      config.policy = policy;
+      auto run = RunSharded(config, workload);
+      ASSERT_TRUE(run.ok()) << policy << " @" << shards << ": "
+                            << run.status();
+      auto plan = PartitionResources(kResources, shards, workload.ceis);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      auto budgets = SplitShardBudgets(config.global_budget, *plan, kHorizon);
+      ASSERT_TRUE(budgets.ok()) << budgets.status();
+      ASSERT_EQ(run->arrival_logs.size(), shards);
+      ASSERT_EQ(run->streams.size(), shards);
+      for (uint32_t s = 0; s < shards; ++s) {
+        const std::vector<ResourceId>& owned = plan->resources_of_shard[s];
+        auto shard_policy = MakePolicy(config.policy, config.policy_seed);
+        ASSERT_TRUE(shard_policy.ok());
+        auto replay = ReplayArrivalLog(
+            run->arrival_logs[s], static_cast<uint32_t>(owned.size()),
+            kHorizon, (*budgets)[s], std::move(*shard_policy),
+            config.scheduler_options);
+        ASSERT_TRUE(replay.ok())
+            << policy << " @" << shards << " shard " << s << ": "
+            << replay.status();
+        std::vector<std::pair<Chronon, ResourceId>> replayed;
+        for (Chronon t = 0; t < kHorizon; ++t) {
+          for (const ResourceId local : replay->schedule.ProbesAt(t)) {
+            replayed.emplace_back(t, owned[local]);
+          }
+        }
+        std::vector<std::pair<Chronon, ResourceId>> streamed;
+        for (const ShardEvent& event : run->streams[s].events) {
+          if (event.kind == ShardEventKind::kProbe) {
+            streamed.emplace_back(event.chronon, event.resource);
+          }
+        }
+        EXPECT_FALSE(streamed.empty()) << policy << " @" << shards
+                                       << " shard " << s;
+        EXPECT_EQ(replayed, streamed)
+            << policy << " @" << shards << " shard " << s
+            << ": the replayed log probes differently from the stream";
+      }
     }
   }
 }

@@ -1,5 +1,8 @@
 #include "util/string_util.h"
 
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace webmon {
@@ -82,6 +85,32 @@ TEST(ParseDoubleTest, Invalid) {
   EXPECT_FALSE(ParseDouble("", &v));
   EXPECT_FALSE(ParseDouble("pi", &v));
   EXPECT_FALSE(ParseDouble("1.5z", &v));
+}
+
+// The encoders' number form, pinned: integers exactly, doubles as
+// "%.17g" writes them. 0.1 is the long 17-digit case.
+TEST(AppendNumberTest, PinsIntegerAndDoubleBytes) {
+  std::string out;
+  AppendNumber(&out, uint64_t{18446744073709551615u});
+  out += ' ';
+  AppendNumber(&out, int64_t{-9223372036854775807 - 1});
+  out += ' ';
+  AppendNumber(&out, uint32_t{0});
+  out += ' ';
+  AppendNumber(&out, 0.1);
+  out += ' ';
+  AppendNumber(&out, 1.5);
+  out += ' ';
+  AppendNumber(&out, 1.0);
+  out += ' ';
+  AppendNumber(&out, 1e-300);
+  out += ' ';
+  AppendNumber(&out, -0.0);
+  out += ' ';
+  AppendNumber(&out, 12345678901234567890.0);
+  EXPECT_EQ(out,
+            "18446744073709551615 -9223372036854775808 0 "
+            "0.10000000000000001 1.5 1 1e-300 -0 1.2345678901234567e+19");
 }
 
 }  // namespace

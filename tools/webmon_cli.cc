@@ -16,7 +16,9 @@
 //       --program="SELECT item AS F1 FROM feed(Blog) WHEN EVERY 10" 
 
 #include <cstdio>
+#include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -58,29 +60,57 @@ namespace {
 constexpr int64_t kMaxResources = 10'000'000;
 constexpr int64_t kMaxChronons = 1'000'000;
 
-// Parses argv into `flags`, then rejects out-of-range capacities: a
-// budget, resource count or epoch length below zero, or a resource count
-// or epoch length above the bounds above, is a usage error (exit 2), never
-// a CHECK abort, a silently narrowed count or an allocation failure inside
-// the library. Defaults are in range, so only flags set on the command line
-// need the check.
-Status ParseFlags(FlagSet& flags, int argc, const char* const* argv) {
-  WEBMON_RETURN_IF_ERROR(flags.Parse(argc, argv));
-  for (const char* name : {"budget", "resources", "chronons"}) {
-    if (flags.WasSet(name) && flags.GetInt(name) < 0) {
-      return Status::InvalidArgument(std::string("--") + name +
-                                     " must be >= 0, got " +
-                                     std::to_string(flags.GetInt(name)));
-    }
+// Largest accepted `shard` --shards, --rank and --arrivals (--window is
+// capped at kMaxChronons). Every shard is a proxy with its own per-resource
+// and per-chronon tables, and the fleet workload of arrivals x chronons
+// CEIs of `rank` EIs each is built up front, so unchecked values exhaust
+// memory (or, for a window near 2^63, overflow the finish chronon) before
+// a single chronon runs.
+constexpr int64_t kMaxShards = 1024;
+constexpr int64_t kMaxRank = 64;
+constexpr int64_t kMaxArrivals = 100'000;
+
+// The documented range of one integer flag.
+struct FlagRange {
+  const char* name;
+  int64_t min;
+  int64_t max;
+};
+
+// The capacities every subcommand that takes them shares.
+constexpr FlagRange kCapacityRanges[] = {
+    {"budget", 0, std::numeric_limits<int64_t>::max()},
+    {"resources", 0, kMaxResources},
+    {"chronons", 0, kMaxChronons}};
+
+Status CheckRange(const FlagSet& flags, const FlagRange& range) {
+  if (!flags.WasSet(range.name)) return Status::OK();
+  const int64_t value = flags.GetInt(range.name);
+  if (value < range.min || value > range.max) {
+    return Status::InvalidArgument(
+        std::string("--") + range.name + " must be " +
+        (value < range.min ? ">= " + std::to_string(range.min)
+                           : "<= " + std::to_string(range.max)) +
+        ", got " + std::to_string(value));
   }
-  for (const auto& [name, max] : {std::pair<const char*, int64_t>{
-                                      "resources", kMaxResources},
-                                  {"chronons", kMaxChronons}}) {
-    if (flags.WasSet(name) && flags.GetInt(name) > max) {
-      return Status::InvalidArgument(
-          std::string("--") + name + " must be <= " + std::to_string(max) +
-          ", got " + std::to_string(flags.GetInt(name)));
-    }
+  return Status::OK();
+}
+
+// Parses argv into `flags`, then rejects out-of-range values: a budget,
+// resource count or epoch length below zero, a resource count or epoch
+// length above the bounds above, or a value outside one of the
+// subcommand's own `ranges` is a usage error (exit 2), never a CHECK
+// abort, a silently narrowed count or an allocation failure inside the
+// library. Defaults are in range, so only flags set on the command line
+// need the check.
+Status ParseFlags(FlagSet& flags, int argc, const char* const* argv,
+                  std::initializer_list<FlagRange> ranges = {}) {
+  WEBMON_RETURN_IF_ERROR(flags.Parse(argc, argv));
+  for (const FlagRange& range : kCapacityRanges) {
+    WEBMON_RETURN_IF_ERROR(CheckRange(flags, range));
+  }
+  for (const FlagRange& range : ranges) {
+    WEBMON_RETURN_IF_ERROR(CheckRange(flags, range));
   }
   return Status::OK();
 }
@@ -878,10 +908,10 @@ int ShardCommand(int argc, const char* const* argv) {
       "synthetic workload");
   flags.AddInt("resources", 10000, "number of resources n, at most 10^7")
       .AddInt("chronons", 200, "epoch length K, at most 10^6")
-      .AddInt("shards", 4, "number of scheduler shards")
-      .AddInt("arrivals", 50, "CEIs arriving per chronon")
-      .AddInt("rank", 2, "EIs per CEI")
-      .AddInt("window", 16, "EI window width (chronons)")
+      .AddInt("shards", 4, "number of scheduler shards, 1 to 1024")
+      .AddInt("arrivals", 50, "CEIs arriving per chronon, at most 10^5")
+      .AddInt("rank", 2, "EIs per CEI, 1 to 64")
+      .AddInt("window", 16, "EI window width (chronons), 1 to 10^6")
       .AddInt("budget", 16, "GLOBAL probe budget per chronon")
       .AddDouble("hot-prob", 0.1,
                  "fraction of EIs drawn from a 64-resource hot set (drives "
@@ -892,7 +922,12 @@ int ShardCommand(int argc, const char* const* argv) {
                "run both serial and parallel shard execution and require "
                "byte-identical streams and aggregate")
       .AddInt("seed", 1, "workload RNG seed");
-  if (Status st = ParseFlags(flags, argc, argv); !st.ok()) {
+  if (Status st = ParseFlags(flags, argc, argv,
+                             {{"shards", 1, kMaxShards},
+                              {"arrivals", 0, kMaxArrivals},
+                              {"rank", 1, kMaxRank},
+                              {"window", 1, kMaxChronons}});
+      !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
@@ -957,6 +992,7 @@ int ShardCommand(int argc, const char* const* argv) {
       std::cerr << other.status() << "\n";
       return 1;
     }
+    // The arrival logs compare event by event (ArrivalEvent::operator==).
     bool identical = SerializeAggregateResult(run->aggregate) ==
                          SerializeAggregateResult(other->aggregate) &&
                      run->arrival_logs == other->arrival_logs;
