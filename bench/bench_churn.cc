@@ -29,7 +29,6 @@
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
-#include "util/string_util.h"
 
 WEBMON_DEFINE_COUNTING_OPERATOR_NEW();
 
@@ -64,8 +63,7 @@ void WriteJson(const std::string& path, const std::string& policy,
   BenchJson json("churn");
   json.Param("policy", policy)
       .Param("window", flags.GetInt("window"))
-      .Param("budget", flags.GetInt("budget"))
-      .Param("threads", flags.GetInt("threads"));
+      .Param("budget", flags.GetInt("budget"));
   for (const ChurnRow& row : rows) {
     json.Row()
         .Field("population", row.population)
@@ -140,12 +138,12 @@ int Run(int argc, const char* const* argv) {
       "cancelled mid-epoch");
   flags.AddString("json", "", "write measurements to this JSON file")
       .AddString("populations", "100000",
-                 "comma-separated live-CEI population sizes P to sweep "
-                 "(P / window CEIs arrive per chronon)")
+                 "comma-separated live-CEI population sizes P to sweep, "
+                 "each 1 to 10^6 (P / window CEIs arrive per chronon)")
       .AddString("churn-rates", "0,0.001,0.01,0.1",
                  "comma-separated cancel fractions of the live population "
-                 "per chronon (0 = the baseline row the ratio is computed "
-                 "against)")
+                 "per chronon, each in [0, 1] (0 = the baseline row the "
+                 "ratio is computed against)")
       .AddString("policy", "s-edf", "scheduling policy")
       .AddInt("resources", 65536, "number of resources n")
       .AddInt("window", 25, "EI window width W (chronons)")
@@ -154,26 +152,26 @@ int Run(int argc, const char* const* argv) {
               "untimed warm-up chronons (must exceed the window so the live "
               "set is in equilibrium)")
       .AddInt("budget", 8, "probe budget C per chronon")
-      .AddInt("threads", 1, "ranking threads (SchedulerOptions::num_threads)")
       .AddInt("seed", 1, "workload RNG seed");
   if (Status st = flags.Parse(argc, argv); !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
 
-  std::vector<int64_t> populations;
-  for (const std::string& token :
-       Split(flags.GetString("populations"), ',')) {
-    const std::string t(StripWhitespace(token));
-    if (!t.empty()) populations.push_back(std::stoll(t));
+  auto parsed_populations =
+      ParseListFlag<int64_t>(flags, "populations", 1, 1'000'000);
+  if (!parsed_populations.ok()) {
+    std::cerr << parsed_populations.status() << "\n";
+    return 2;
   }
+  std::vector<int64_t> populations = *std::move(parsed_populations);
   if (populations.empty()) populations.push_back(100000);
-  std::vector<double> churn_rates;
-  for (const std::string& token :
-       Split(flags.GetString("churn-rates"), ',')) {
-    const std::string t(StripWhitespace(token));
-    if (!t.empty()) churn_rates.push_back(std::stod(t));
+  auto parsed_rates = ParseListFlag<double>(flags, "churn-rates", 0.0, 1.0);
+  if (!parsed_rates.ok()) {
+    std::cerr << parsed_rates.status() << "\n";
+    return 2;
   }
+  std::vector<double> churn_rates = *std::move(parsed_rates);
   if (churn_rates.empty()) churn_rates = {0.0, 0.01};
 
   const std::string policy_name = flags.GetString("policy");
@@ -182,7 +180,6 @@ int Run(int argc, const char* const* argv) {
   const Chronon warmup = flags.GetInt("warmup");
   const Chronon window = flags.GetInt("window");
   const int64_t budget = flags.GetInt("budget");
-  const int num_threads = static_cast<int>(flags.GetInt("threads"));
   if (window < 1 || warmup <= window || warmup >= k) {
     std::cerr << "need 1 <= window < warmup < chronons\n";
     return 2;
@@ -218,7 +215,6 @@ int Run(int argc, const char* const* argv) {
         return 1;
       }
       SchedulerOptions options;
-      options.num_threads = num_threads;
       options.sizing.expected_active_eis =
           static_cast<size_t>(population) * 2 + 1024;
       options.sizing.expected_ceis = track.store.size();

@@ -10,10 +10,14 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "sim/experiment.h"
+#include "util/flags.h"
+#include "util/status.h"
+#include "util/string_util.h"
 #include "util/table_writer.h"
 
 namespace webmon::bench {
@@ -95,6 +99,44 @@ ExperimentConfig PaperBaseline(uint64_t seed = 1);
 /// The auction-trace setup scaled to `num_auctions` resources (bids scale
 /// proportionally from the paper's 732-auction / 11,150-bid trace).
 ExperimentConfig AuctionBaseline(uint32_t num_auctions, uint64_t seed = 1);
+
+/// Parses the comma-separated list flag `--name` into values in [min, max].
+/// Every non-empty token must parse whole (ParseInt64 for integer T,
+/// ParseDouble for floating T) and lie in the range; empty tokens are
+/// skipped, so an empty list parses to an empty vector. Anything else is an
+/// InvalidArgument naming the flag and the token: the benches turn it into
+/// exit 2 instead of an uncaught exception, a silently truncated token or
+/// a negative count wrapped to a huge unsigned one.
+template <typename T>
+StatusOr<std::vector<T>> ParseListFlag(const FlagSet& flags,
+                                       const std::string& name, T min,
+                                       T max) {
+  using Parsed =
+      std::conditional_t<std::is_floating_point_v<T>, double, int64_t>;
+  std::vector<T> values;
+  for (const std::string& token : Split(flags.GetString(name), ',')) {
+    if (StripWhitespace(token).empty()) continue;
+    Parsed value{};
+    bool parsed = false;
+    if constexpr (std::is_floating_point_v<T>) {
+      parsed = ParseDouble(token, &value);
+    } else {
+      parsed = ParseInt64(token, &value);
+    }
+    // The range test runs before any narrowing, and NaN fails it.
+    if (!parsed || !(value >= static_cast<Parsed>(min) &&
+                     value <= static_cast<Parsed>(max))) {
+      std::string message =
+          "--" + name + ": '" + token + "' is not a number in [";
+      AppendNumber(&message, min);
+      message += ", ";
+      AppendNumber(&message, max);
+      return Status::InvalidArgument(message + "]");
+    }
+    values.push_back(static_cast<T>(value));
+  }
+  return values;
+}
 
 /// Aborts with a message on error statuses (benches have no recovery path).
 #define WEBMON_BENCH_CHECK_OK(expr)                                   \

@@ -8,9 +8,6 @@
 // M-EDF a constant factor above MRSF above S-EDF; the offline approximation
 // is far slower and is omitted from the sweep, as in the paper.
 //
-// Beyond the paper, this bench also sweeps the scheduler's ranking thread
-// count (--threads=1,8): schedules are byte-identical at every thread
-// count, so the sweep isolates the wall-clock effect of sharded ranking.
 // Pass --json <path> to emit the measurements as a JSON document (the CI
 // perf artifact, BENCH_scalability.json).
 
@@ -21,7 +18,6 @@
 
 #include "bench/bench_common.h"
 #include "util/flags.h"
-#include "util/string_util.h"
 
 namespace webmon::bench {
 namespace {
@@ -38,28 +34,19 @@ struct SweepRow {
   std::vector<PolicyCell> policies;
 };
 
-struct ThreadSweep {
-  int threads = 1;
-  std::vector<SweepRow> rows;
-};
-
-// Emits the collected measurements — one flat row per
-// (thread count, workload size, policy) cell.
-void WriteJson(const std::string& path,
-               const std::vector<ThreadSweep>& sweeps) {
+// Emits the collected measurements — one flat row per (workload size,
+// policy) cell.
+void WriteJson(const std::string& path, const std::vector<SweepRow>& rows) {
   BenchJson json("fig11_scalability");
   json.Param("metric", "us_per_ei");
-  for (const ThreadSweep& sweep : sweeps) {
-    for (const SweepRow& row : sweep.rows) {
-      for (const PolicyCell& cell : row.policies) {
-        json.Row()
-            .Field("threads", sweep.threads)
-            .Field("profiles", static_cast<int64_t>(row.profiles))
-            .Field("ceis", row.ceis)
-            .Field("eis", row.eis)
-            .Field("policy", cell.name)
-            .Field("us_per_ei", cell.us_per_ei);
-      }
+  for (const SweepRow& row : rows) {
+    for (const PolicyCell& cell : row.policies) {
+      json.Row()
+          .Field("profiles", static_cast<int64_t>(row.profiles))
+          .Field("ceis", row.ceis)
+          .Field("eis", row.eis)
+          .Field("policy", cell.name)
+          .Field("us_per_ei", cell.us_per_ei);
     }
   }
   json.Write(path);
@@ -68,8 +55,6 @@ void WriteJson(const std::string& path,
 int Run(int argc, const char* const* argv) {
   FlagSet flags("bench_fig11_scalability: online runtime scalability sweep");
   flags.AddString("json", "", "write measurements to this JSON file")
-      .AddString("threads", "1",
-                 "comma-separated scheduler thread counts to sweep")
       .AddInt("reps", 3, "repetitions per cell")
       .AddInt("max-profiles", 2500,
               "largest profile count in the sweep (steps of 500)");
@@ -77,13 +62,6 @@ int Run(int argc, const char* const* argv) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
-
-  std::vector<int> thread_counts;
-  for (const std::string& token : Split(flags.GetString("threads"), ',')) {
-    const std::string t(StripWhitespace(token));
-    if (!t.empty()) thread_counts.push_back(std::stoi(t));
-  }
-  if (thread_counts.empty()) thread_counts.push_back(1);
 
   std::vector<uint32_t> sizes;
   for (uint32_t m = 500;
@@ -97,50 +75,41 @@ int Run(int argc, const char* const* argv) {
 
   const std::vector<PolicySpec> specs{
       {"s-edf", true}, {"mrsf", true}, {"m-edf", true}};
-  std::vector<ThreadSweep> sweeps;
-  for (const int threads : thread_counts) {
-    ThreadSweep sweep;
-    sweep.threads = threads;
-    std::cout << "-- threads=" << threads << "\n";
-    TableWriter table({"profiles", "CEIs", "EIs", "S-EDF us/EI",
-                       "MRSF us/EI", "M-EDF us/EI"});
-    for (const uint32_t m : sizes) {
-      ExperimentConfig config = PaperBaseline(/*seed=*/43);
-      config.poisson.lambda = 50.0;  // 2.5x the baseline intensity
-      config.profile_template = ProfileTemplate::AuctionWatch(
-          5, /*exact_rank=*/true, /*window=*/10);
-      config.profile_template.random_window = true;
-      config.workload.num_profiles = m;
-      config.repetitions = static_cast<uint32_t>(flags.GetInt("reps"));
-      config.num_threads = threads;
-      auto result = RunExperiment(config, specs);
-      if (!result.ok()) {
-        std::fprintf(stderr, "FATAL: %s\n",
-                     result.status().ToString().c_str());
-        return 1;
-      }
-      SweepRow row;
-      row.profiles = m;
-      row.ceis = result->total_ceis.mean();
-      row.eis = result->total_eis.mean();
-      for (size_t i = 0; i < specs.size(); ++i) {
-        row.policies.push_back(
-            {specs[i].name, result->policies[i].usec_per_ei.mean()});
-      }
-      sweep.rows.push_back(row);
-      table.AddRow(
-          {TableWriter::Fmt(static_cast<int64_t>(m)),
-           TableWriter::Fmt(row.ceis, 0), TableWriter::Fmt(row.eis, 0),
-           TableWriter::Fmt(row.policies[0].us_per_ei, 3),
-           TableWriter::Fmt(row.policies[1].us_per_ei, 3),
-           TableWriter::Fmt(row.policies[2].us_per_ei, 3)});
+  std::vector<SweepRow> rows;
+  TableWriter table({"profiles", "CEIs", "EIs", "S-EDF us/EI", "MRSF us/EI",
+                     "M-EDF us/EI"});
+  for (const uint32_t m : sizes) {
+    ExperimentConfig config = PaperBaseline(/*seed=*/43);
+    config.poisson.lambda = 50.0;  // 2.5x the baseline intensity
+    config.profile_template = ProfileTemplate::AuctionWatch(
+        5, /*exact_rank=*/true, /*window=*/10);
+    config.profile_template.random_window = true;
+    config.workload.num_profiles = m;
+    config.repetitions = static_cast<uint32_t>(flags.GetInt("reps"));
+    auto result = RunExperiment(config, specs);
+    if (!result.ok()) {
+      std::fprintf(stderr, "FATAL: %s\n", result.status().ToString().c_str());
+      return 1;
     }
-    PrintTable(table);
-    sweeps.push_back(std::move(sweep));
+    SweepRow row;
+    row.profiles = m;
+    row.ceis = result->total_ceis.mean();
+    row.eis = result->total_eis.mean();
+    for (size_t i = 0; i < specs.size(); ++i) {
+      row.policies.push_back(
+          {specs[i].name, result->policies[i].usec_per_ei.mean()});
+    }
+    rows.push_back(row);
+    table.AddRow({TableWriter::Fmt(static_cast<int64_t>(m)),
+                  TableWriter::Fmt(row.ceis, 0), TableWriter::Fmt(row.eis, 0),
+                  TableWriter::Fmt(row.policies[0].us_per_ei, 3),
+                  TableWriter::Fmt(row.policies[1].us_per_ei, 3),
+                  TableWriter::Fmt(row.policies[2].us_per_ei, 3)});
   }
+  PrintTable(table);
 
   if (!flags.GetString("json").empty()) {
-    WriteJson(flags.GetString("json"), sweeps);
+    WriteJson(flags.GetString("json"), rows);
   }
   return 0;
 }

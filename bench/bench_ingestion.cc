@@ -19,7 +19,6 @@
 #include "online/ingestion_driver.h"
 #include "policy/policy_factory.h"
 #include "util/flags.h"
-#include "util/string_util.h"
 
 namespace webmon::bench {
 namespace {
@@ -58,7 +57,8 @@ int Run(int argc, const char* const* argv) {
   FlagSet flags("bench_ingestion: concurrent Submit/Push throughput sweep");
   flags.AddString("json", "", "write measurements to this JSON file")
       .AddString("producers", "1,2,4,8",
-                 "comma-separated producer thread counts to sweep")
+                 "comma-separated producer thread counts to sweep, each 1 "
+                 "to 64")
       .AddString("policy", "s-edf", "scheduling policy")
       .AddInt("resources", 64, "number of resources n")
       .AddInt("chronons", 2000, "epoch length K")
@@ -70,11 +70,12 @@ int Run(int argc, const char* const* argv) {
     return 2;
   }
 
-  std::vector<int> producer_counts;
-  for (const std::string& token : Split(flags.GetString("producers"), ',')) {
-    const std::string t(StripWhitespace(token));
-    if (!t.empty()) producer_counts.push_back(std::stoi(t));
+  auto parsed_counts = ParseListFlag<int>(flags, "producers", 1, 64);
+  if (!parsed_counts.ok()) {
+    std::cerr << parsed_counts.status() << "\n";
+    return 2;
   }
+  std::vector<int> producer_counts = *std::move(parsed_counts);
   if (producer_counts.empty()) producer_counts.push_back(1);
   const std::string policy_name = flags.GetString("policy");
   const int64_t total_events = flags.GetInt("events");

@@ -32,7 +32,6 @@
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
-#include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "workload/generator.h"
 
@@ -140,7 +139,8 @@ int Run(int argc, const char* const* argv) {
   flags.AddString("json", "", "write measurements to this JSON file")
       .AddString("profiles", "10,20,40",
                  "comma-separated auction profile counts for the local-ratio "
-                 "and greedy cells (40 = ablation bench size)")
+                 "and greedy cells, each 1 to 10^4 (40 = ablation bench "
+                 "size)")
       .AddInt("reps", 3, "repetitions per cell (fresh instance each)")
       .AddInt("threads", 0,
               "threads for the parallel exact cell (0 = hardware "
@@ -150,13 +150,12 @@ int Run(int argc, const char* const* argv) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
-  std::vector<uint32_t> profile_counts;
-  for (const std::string& token : Split(flags.GetString("profiles"), ',')) {
-    const std::string t(StripWhitespace(token));
-    if (!t.empty()) {
-      profile_counts.push_back(static_cast<uint32_t>(std::stoul(t)));
-    }
+  auto parsed_counts = ParseListFlag<uint32_t>(flags, "profiles", 1, 10'000);
+  if (!parsed_counts.ok()) {
+    std::cerr << parsed_counts.status() << "\n";
+    return 2;
   }
+  const std::vector<uint32_t> profile_counts = *std::move(parsed_counts);
   const int reps = static_cast<int>(flags.GetInt("reps"));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
 

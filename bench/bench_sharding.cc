@@ -38,7 +38,6 @@
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
-#include "util/string_util.h"
 
 namespace webmon::bench {
 namespace {
@@ -151,7 +150,8 @@ void WriteJson(const std::string& path, const FlagSet& flags,
 int Run(int argc, const char* const* argv) {
   FlagSet flags("bench_sharding: sharded scheduler tier shard-count sweep");
   flags.AddString("json", "", "write measurements to this JSON file")
-      .AddString("shards", "1,2,4,8", "comma-separated shard counts")
+      .AddString("shards", "1,2,4,8",
+                 "comma-separated shard counts, each 1 to 1024")
       .AddString("policy", "s-edf", "per-shard scheduling policy")
       .AddInt("resources", 1000000, "number of resources n")
       .AddInt("chronons", 512, "epoch length K")
@@ -172,13 +172,12 @@ int Run(int argc, const char* const* argv) {
     return 2;
   }
 
-  std::vector<uint32_t> shard_counts;
-  for (const std::string& token : Split(flags.GetString("shards"), ',')) {
-    const std::string t(StripWhitespace(token));
-    if (!t.empty()) {
-      shard_counts.push_back(static_cast<uint32_t>(std::stoul(t)));
-    }
+  auto parsed_counts = ParseListFlag<uint32_t>(flags, "shards", 1, 1024);
+  if (!parsed_counts.ok()) {
+    std::cerr << parsed_counts.status() << "\n";
+    return 2;
   }
+  std::vector<uint32_t> shard_counts = *std::move(parsed_counts);
   if (shard_counts.empty()) shard_counts.push_back(1);
 
   const auto num_resources =

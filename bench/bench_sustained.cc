@@ -24,7 +24,6 @@
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
-#include "util/string_util.h"
 
 WEBMON_DEFINE_COUNTING_OPERATOR_NEW();
 
@@ -55,8 +54,7 @@ void WriteJson(const std::string& path, const std::string& policy,
       .Param("arrivals_per_chronon", flags.GetInt("arrivals"))
       .Param("rank", flags.GetInt("rank"))
       .Param("window", flags.GetInt("window"))
-      .Param("budget", flags.GetInt("budget"))
-      .Param("threads", flags.GetInt("threads"));
+      .Param("budget", flags.GetInt("budget"));
   for (const SustainedRow& row : rows) {
     json.Row()
         .Field("resources", row.resources)
@@ -131,7 +129,8 @@ int Run(int argc, const char* const* argv) {
       "bench_sustained: steady-state chronons/sec under continuous arrivals");
   flags.AddString("json", "", "write measurements to this JSON file")
       .AddString("resources", "100000,1000000",
-                 "comma-separated resource counts n to sweep")
+                 "comma-separated resource counts n to sweep, each 1 to "
+                 "10^7")
       .AddString("policy", "s-edf", "scheduling policy")
       .AddInt("chronons", 1200, "total chronons per cell (incl. warm-up)")
       .AddInt("warmup", 200, "untimed warm-up chronons")
@@ -139,18 +138,19 @@ int Run(int argc, const char* const* argv) {
       .AddInt("rank", 2, "EIs per CEI")
       .AddInt("window", 16, "base EI window width (chronons)")
       .AddInt("budget", 8, "probe budget C per chronon")
-      .AddInt("threads", 1, "ranking threads (SchedulerOptions::num_threads)")
       .AddInt("seed", 1, "workload RNG seed");
   if (Status st = flags.Parse(argc, argv); !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
 
-  std::vector<int64_t> resource_counts;
-  for (const std::string& token : Split(flags.GetString("resources"), ',')) {
-    const std::string t(StripWhitespace(token));
-    if (!t.empty()) resource_counts.push_back(std::stoll(t));
+  auto parsed_counts =
+      ParseListFlag<int64_t>(flags, "resources", 1, 10'000'000);
+  if (!parsed_counts.ok()) {
+    std::cerr << parsed_counts.status() << "\n";
+    return 2;
   }
+  std::vector<int64_t> resource_counts = *std::move(parsed_counts);
   if (resource_counts.empty()) resource_counts.push_back(100000);
 
   const std::string policy_name = flags.GetString("policy");
@@ -160,7 +160,6 @@ int Run(int argc, const char* const* argv) {
   const auto rank = static_cast<uint32_t>(flags.GetInt("rank"));
   const Chronon window = flags.GetInt("window");
   const int64_t budget = flags.GetInt("budget");
-  const int num_threads = static_cast<int>(flags.GetInt("threads"));
   if (warmup >= k) {
     std::cerr << "warmup must be < chronons\n";
     return 2;
@@ -184,7 +183,6 @@ int Run(int argc, const char* const* argv) {
       return 1;
     }
     SchedulerOptions options;
-    options.num_threads = num_threads;
     // Steady-state active set: arrivals * rank EIs join per chronon and live
     // ~window chronons each (plus the start/finish jitter).
     options.sizing.expected_active_eis = static_cast<size_t>(

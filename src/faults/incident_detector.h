@@ -14,7 +14,7 @@
 //     every reprobe_interval chronons (the end-of-incident trial); enough
 //     consecutive successful trials CLOSE the breaker again.
 // All state is a pure function of (options, chronon sequence, attempt
-// stream), so runs replay byte-identically at any thread count and the
+// stream), so runs replay byte-identically and the
 // auditor (AuditIncidentRun) can re-derive every decision from the attempt
 // log.
 //

@@ -54,22 +54,10 @@ OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
       }
     }
   }
-  num_shards_ = ordered_ ? 1 : std::max(options_.num_threads, 1);
-  if (num_shards_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(num_shards_);
-  }
-  const size_t shards = static_cast<size_t>(num_shards_);
-  // The per-resource rank tables (shard_best_, best_of_r_) are lazily
-  // allocated by EnsureRankTables — the bounded top-C path never needs
-  // them. The C-entry boards are tiny and reserved up front so the rank
-  // phase never grows them.
-  shard_topc_.resize(shards);
-  const size_t board = static_cast<size_t>(kMaxBoundedTopC) + 1;
-  for (auto& kept : shard_topc_) kept.reserve(board);
-  shard_touched_.resize(shards);
-  shard_live_end_.assign(shards, 0);
-  shard_gates_.resize(shards);
-  merged_.reserve(shards * board);
+  // The per-resource rank table (best_at_) is allocated on first use — the
+  // bounded top-C path never needs it. The C-entry board is tiny and
+  // reserved up front so the rank phase never grows it.
+  merged_.reserve(static_cast<size_t>(kMaxBoundedTopC) + 1);
 
   // Steady-state capacity hints: everything below also grows on demand,
   // but pre-reserving moves the reallocation burst out of the first
@@ -606,28 +594,22 @@ void OnlineScheduler::MoveSlot(size_t to, size_t from) {
   if (ordered_) slot_state_[to] = slot_state_[from];
 }
 
-void OnlineScheduler::EnsureRankTables() {
-  if (!shard_best_epoch_.empty() || num_resources_ == 0) return;
-  const size_t shards = static_cast<size_t>(num_shards_);
-  shard_best_.resize(shards * num_resources_);
-  shard_best_epoch_.assign(shards * num_resources_, 0);
-  best_of_r_.resize(num_resources_);
-  best_epoch_.assign(num_resources_, 0);
+void OnlineScheduler::ResizeSlots(size_t n) {
+  slot_cand_.resize(n);
+  slot_resource_.resize(n);
+  slot_finish_.resize(n);
+  if (ordered_) slot_state_.resize(n);
 }
 
 template <bool kFaulty>
-void OnlineScheduler::RankShard(int shard, Chronon now, bool compute_values,
-                                size_t top_c, bool check_attempted) {
+void OnlineScheduler::RankScan(Chronon now, bool compute_values, size_t top_c,
+                               bool check_attempted) {
   const size_t n = slot_cand_.size();
-  const size_t begin = std::min(static_cast<size_t>(shard) * chunk_size_, n);
-  const size_t end = std::min(begin + chunk_size_, n);
   const bool split_started = !options_.preemptive;
   // Fault gates (kFaulty only): the retry-budget state is fixed for the
-  // whole rank phase, and the suppression tallies stay shard-local until
-  // Step sums them after the join.
+  // whole rank phase.
   const bool no_retries = kFaulty && RetryBudgetExhausted();
   const IncidentDetector* detector = detector_.get();
-  GateTally gates;
 
   // Computes the candidate's policy value at the fault-shrunk effective
   // chronon. On healthy resources (and always without an injector) the
@@ -645,9 +627,9 @@ void OnlineScheduler::RankShard(int shard, Chronon now, bool compute_values,
   // lookup entirely. With an injector, the candidate's own resource is
   // then gated by backoff or an open breaker, a spent retry budget, and
   // fleet-breaker suppression. Every gate is stable within the rank phase
-  // (health, stats and the detector change only when outcomes are
-  // recorded, after ranking), so gating per candidate selects exactly what
-  // a per-resource pre-pass would.
+  // (health, the retry spend and the detector change only when outcomes
+  // are recorded, after ranking), so gating per candidate selects exactly
+  // what a per-resource pre-pass would.
   auto eligible = [&](ResourceId r) {
     if (check_attempted && attempted_now_[r]) return false;
     if constexpr (kFaulty) {
@@ -655,20 +637,21 @@ void OnlineScheduler::RankShard(int shard, Chronon now, bool compute_values,
       if (no_retries && health_[r].consecutive_failures > 0) {
         // The retry budget is spent: resources with a live failure streak
         // stop being offered for the rest of the run.
-        ++gates.retries_suppressed;
+        ++stats_.retries_suppressed;
         return false;
       }
       if (detector != nullptr && detector->Suppressed(r)) {
         // A covering fleet breaker is open and this resource is not the
         // chronon's end-of-incident trial: withhold the probe and let the
         // budget flow to unaffected work.
-        ++gates.incident_probes_suppressed;
+        ++stats_.incident_probes_suppressed;
         return false;
       }
     }
     return true;
   };
 
+  size_t w = 0;
   if (compute_values && top_c > 0) {
     // Bounded top-C (uniform costs, C <= kMaxBoundedTopC): keep the C
     // best-ranked candidates over distinct resources on a small board
@@ -676,19 +659,17 @@ void OnlineScheduler::RankShard(int shard, Chronon now, bool compute_values,
     // position-independent strict total order: a candidate skipped or
     // evicted while the board is full is beaten by C entries for C
     // distinct other resources, each of which upper-bounds its own
-    // resource's best — so the skipped resource cannot be in the global
-    // top-C of per-resource bests, and every true top-C resource's
-    // shard-best survives on the board exactly.
-    std::vector<Ranked>& kept = shard_topc_[static_cast<size_t>(shard)];
-    kept.clear();
+    // resource's best — so the skipped resource cannot be in the top-C of
+    // per-resource bests, and every true top-C resource's best survives on
+    // the board exactly.
+    std::vector<Ranked>& kept = merged_;
     // Once the board is full, `bar` is a copy of its worst entry: the
     // common case, a candidate that cannot beat it, is rejected against a
     // local without touching the board.
     bool full = false;
     size_t worst = 0;
     Ranked bar{};
-    size_t w = begin;
-    for (size_t i = begin; i < end; ++i) {
+    for (size_t i = 0; i < n; ++i) {
       const CandidateEi cand = slot_cand_[i];
       if (!cand.IsLive()) continue;  // lazy stale-entry removal
       const ResourceId r = slot_resource_[i];
@@ -723,24 +704,15 @@ void OnlineScheduler::RankShard(int shard, Chronon now, bool compute_values,
       if (w != i) MoveSlot(w, i);
       ++w;
     }
-    shard_live_end_[static_cast<size_t>(shard)] = w;
-    shard_gates_[static_cast<size_t>(shard)] = gates;
+    ResizeSlots(w);
     return;
   }
 
-  const uint64_t epoch = rank_epoch_;
-  Ranked* best = nullptr;
-  uint64_t* stamp = nullptr;
-  if (compute_values) {
-    best = shard_best_.data() + static_cast<size_t>(shard) * num_resources_;
-    stamp = shard_best_epoch_.data() +
-            static_cast<size_t>(shard) * num_resources_;
-    shard_touched_[static_cast<size_t>(shard)].clear();
+  // The table is allocated by the first table-mode scan and never resized.
+  if (compute_values && best_at_.size() != num_resources_) {
+    best_at_.assign(num_resources_, 0);
   }
-  std::vector<ResourceId>& touched =
-      shard_touched_[static_cast<size_t>(shard)];
-  size_t w = begin;
-  for (size_t i = begin; i < end; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const CandidateEi cand = slot_cand_[i];
     if (!cand.IsLive()) continue;  // lazy stale-entry removal
     if (compute_values) {
@@ -748,12 +720,12 @@ void OnlineScheduler::RankShard(int shard, Chronon now, bool compute_values,
       if (eligible(r)) {
         const Ranked cur{cand, value_of(i, cand, r), slot_finish_[i], r,
                          split_started && cand.state->Started()};
-        if (stamp[r] != epoch) {
-          stamp[r] = epoch;
-          best[r] = cur;
-          touched.push_back(r);  // hotpath-alloc-ok: retained capacity
-        } else if (RankedBefore(cur, best[r], split_started)) {
-          best[r] = cur;
+        const uint32_t at = best_at_[r];
+        if (at >= merged_.size() || merged_[at].resource != r) {
+          best_at_[r] = static_cast<uint32_t>(merged_.size());
+          merged_.push_back(cur);  // hotpath-alloc-ok: retained capacity
+        } else if (RankedBefore(cur, merged_[at], split_started)) {
+          merged_[at] = cur;
         }
       }
     }
@@ -762,8 +734,7 @@ void OnlineScheduler::RankShard(int shard, Chronon now, bool compute_values,
     if (w != i) MoveSlot(w, i);
     ++w;
   }
-  shard_live_end_[static_cast<size_t>(shard)] = w;
-  shard_gates_[static_cast<size_t>(shard)] = gates;
+  ResizeSlots(w);
 }
 
 bool OnlineScheduler::IssueProbe(ResourceId resource, Chronon now,
@@ -946,10 +917,7 @@ void OnlineScheduler::CaptureAndCompact(Chronon now) {
     ++w;
   }
   spent_slots_ = compact ? 0 : spent;
-  slot_cand_.resize(w);
-  slot_resource_.resize(w);
-  slot_finish_.resize(w);
-  slot_state_.resize(w);
+  ResizeSlots(w);
 }
 
 Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
@@ -1066,139 +1034,34 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
     // trials). Usually nothing was, and the scan skips the per-candidate
     // attempted_now_ lookup.
     const bool check_attempted = !pushed_now_scratch_.empty() || attempts > 0;
-    ++rank_epoch_;
-    if (compute_values && !bounded) EnsureRankTables();
-    const size_t shards = static_cast<size_t>(num_shards_);
-    chunk_size_ = (n + shards - 1) / shards;
-    const size_t shard_top_c = bounded ? top_c : 0;
+    const size_t scan_top_c = bounded ? top_c : 0;
     // The scan is instantiated on whether an injector is attached, so the
     // fault-free scan carries no gate branches.
-    const bool faulty = !health_.empty();
-    auto rank = [this, now, compute_values, shard_top_c, check_attempted,
-                 faulty](int s) {
-      if (faulty) {
-        RankShard<true>(s, now, compute_values, shard_top_c, check_attempted);
-      } else {
-        RankShard<false>(s, now, compute_values, shard_top_c,
-                         check_attempted);
-      }
-    };
-    if (pool_ != nullptr) {
-      // Shards write only their own contiguous slot range, board/partial-
-      // best tables and gate tallies; candidate states, policy values,
-      // health, stats, the detector and the attempted mask are read-only
-      // here. The pool joins before the stitch and merge, so nothing below
-      // observes concurrency and the thread count cannot alter the
-      // schedule.
-      pool_->ParallelFor(num_shards_, rank);
+    if (health_.empty()) {
+      RankScan<false>(now, compute_values, scan_top_c, check_attempted);
     } else {
-      rank(0);
+      RankScan<true>(now, compute_values, scan_top_c, check_attempted);
     }
-    if (faulty) {
-      // Fold the shards' gate tallies in shard order.
-      for (const GateTally& gates : shard_gates_) {
-        stats_.retries_suppressed += gates.retries_suppressed;
-        stats_.incident_probes_suppressed += gates.incident_probes_suppressed;
-      }
+    // merged_ holds one candidate per resource: the board's C (bounded),
+    // or every eligible resource's best (table). Under uniform costs at
+    // most C distinct resources are probed, so only the C best matter.
+    // (With varying costs a cheap candidate beyond the C-th may still fit,
+    // so every resource's best is kept.)
+    if (uniform_costs && merged_.size() > top_c) {
+      std::nth_element(merged_.begin(),
+                       merged_.begin() + static_cast<std::ptrdiff_t>(top_c),
+                       merged_.end(),
+                       [split_started](const Ranked& a, const Ranked& b) {
+                         return RankedBefore(a, b, split_started);
+                       });
+      merged_.resize(top_c);
     }
-    // Stitch the per-chunk compactions back into one contiguous list
-    // (stable: chunk order is activation order). No pruned slots -> no
-    // writes.
-    size_t w = shard_live_end_[0];
-    for (size_t s = 1; s < shards; ++s) {
-      const size_t b = std::min(s * chunk_size_, n);
-      const size_t e = shard_live_end_[s];
-      if (b == w) {
-        w = e;
-        continue;
-      }
-      for (size_t i = b; i < e; ++i) MoveSlot(w++, i);
-    }
-    slot_cand_.resize(w);
-    slot_resource_.resize(w);
-    slot_finish_.resize(w);
-
-    if (compute_values) {
-      if (bounded) {
-        // Concatenate the shard boards (<= shards * C entries), order them
-        // globally, then keep the first entry per resource until C
-        // resources are selected. Every true top-C resource's global best
-        // is on some board (see RankShard), and every other board entry
-        // ranks after all C of those — so this yields exactly the
-        // selection the table path truncates and sorts to, pre-sorted.
-        for (size_t s = 0; s < shards; ++s) {
-          for (const Ranked& e : shard_topc_[s]) {
-            merged_.push_back(e);  // hotpath-alloc-ok: reserved in ctor
-          }
-        }
-        // total-order: RankedBefore breaks every tie down to the unique
-        // (CEI id, EI index) pair — no equal elements.
-        std::sort(merged_.begin(), merged_.end(),
-                  [split_started](const Ranked& a, const Ranked& b) {
-                    return RankedBefore(a, b, split_started);
-                  });
-        size_t out = 0;
-        for (size_t i = 0; i < merged_.size() && out < top_c; ++i) {
-          bool dup = false;
-          for (size_t j = 0; j < out; ++j) {
-            if (merged_[j].resource == merged_[i].resource) {
-              dup = true;
-              break;
-            }
-          }
-          if (!dup) merged_[out++] = merged_[i];
-        }
-        merged_.resize(out);
-      } else if (num_shards_ == 1) {
-        for (ResourceId r : shard_touched_[0]) {
-          merged_.push_back(shard_best_[r]);  // hotpath-alloc-ok: retained
-        }
-      } else {
-        // Per-resource combine across shards, in shard order: RankedBefore
-        // is a position-independent strict total order, so the min over
-        // partial mins equals the min over the whole list regardless of
-        // how the chunks split it.
-        touched_.clear();
-        for (size_t s = 0; s < shards; ++s) {
-          const Ranked* best = shard_best_.data() + s * num_resources_;
-          for (ResourceId r : shard_touched_[s]) {
-            if (best_epoch_[r] != rank_epoch_) {
-              best_epoch_[r] = rank_epoch_;
-              best_of_r_[r] = best[r];
-              touched_.push_back(r);  // hotpath-alloc-ok: retained
-            } else if (RankedBefore(best[r], best_of_r_[r], split_started)) {
-              best_of_r_[r] = best[r];
-            }
-          }
-        }
-        for (ResourceId r : touched_) {
-          merged_.push_back(best_of_r_[r]);  // hotpath-alloc-ok: retained
-        }
-      }
-      if (!bounded) {
-        // Bounded top-C selection over the table merge: under uniform
-        // costs at most C distinct resources are probed and merged_ holds
-        // one candidate per resource, so only the C best matter. (With
-        // varying costs a cheap candidate beyond the C-th may still fit,
-        // so every resource's best is kept.)
-        if (uniform_costs && merged_.size() > top_c) {
-          std::nth_element(
-              merged_.begin(),
-              merged_.begin() + static_cast<std::ptrdiff_t>(top_c),
-              merged_.end(),
+    // total-order: RankedBefore breaks every tie down to the unique
+    // (CEI id, EI index) pair — no equal elements.
+    std::sort(merged_.begin(), merged_.end(),
               [split_started](const Ranked& a, const Ranked& b) {
                 return RankedBefore(a, b, split_started);
               });
-          merged_.resize(top_c);
-        }
-        // total-order: RankedBefore breaks every tie down to the unique
-        // (CEI id, EI index) pair — no equal elements.
-        std::sort(merged_.begin(), merged_.end(),
-                  [split_started](const Ranked& a, const Ranked& b) {
-                    return RankedBefore(a, b, split_started);
-                  });
-      }
-    }
   }
   stats_.rank_seconds += phase.ElapsedSeconds();
 

@@ -30,19 +30,14 @@
 //     a chronon pops until C distinct eligible resources are found
 //     (docs/PERFORMANCE.md "Ordered index for value-stable policies"). The
 //     capture sweep compacts the slot columns.
-//   scan — every other configuration: each chronon's rank pass compacts the
-//     slot columns, computes every live candidate's value, and keeps one
-//     best candidate per resource (resource dedup) under a bounded top-C
-//     selection: small uniform budgets keep a C-bounded per-shard list and
-//     never touch the per-resource tables (which are then never even
-//     allocated); larger or varying-cost budgets use the epoch-stamped
-//     tables. With SchedulerOptions::num_threads > 1 the flat scan is
-//     chunk-sharded across a fixed worker pool and the per-shard partial
-//     bests are merged deterministically.
-// Both paths select exactly the same probes, and the schedule is
-// byte-identical for every thread count — the documented value/deadline/
-// EI-id tie-break defines a position-independent total order, and probe
-// issuance stays serial.
+//   scan — every other configuration: each chronon's one serial rank pass
+//     compacts the slot columns, computes every live candidate's value, and
+//     keeps one best candidate per resource (resource dedup) under a
+//     bounded top-C selection: small uniform budgets keep a C-entry board
+//     and never touch the per-resource table (which is then never even
+//     allocated); larger or varying-cost budgets use the table.
+// Both paths select exactly the same probes — the documented value/
+// deadline/EI-id tie-break defines a position-independent total order.
 
 // When a FaultInjector is attached (SchedulerOptions::fault_injector) probes
 // can fail: a failed probe still spends budget but captures nothing. The
@@ -62,10 +57,9 @@
 // ranking (their budget flows to unaffected work) except for one
 // deterministic re-probe trial per reprobe interval, which is also how the
 // detector notices the incident ended. Detector state is a pure function of
-// the attempt stream, written only in the serial phases and read-only while
-// the rank shards gate their candidates, so the any-thread-count
-// determinism contract is unchanged. Specs without incident lines construct
-// no detector and schedule byte-identically to before.
+// the attempt stream and is only read while the rank scan gates its
+// candidates. Specs without incident lines construct no detector and
+// schedule byte-identically to before.
 
 #ifndef WEBMON_ONLINE_ONLINE_SCHEDULER_H_
 #define WEBMON_ONLINE_ONLINE_SCHEDULER_H_
@@ -85,7 +79,6 @@
 #include "util/event_ring.h"
 #include "util/id_map.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace webmon {
 
@@ -125,15 +118,6 @@ struct SchedulerOptions {
   FaultInjector* fault_injector = nullptr;
   /// Reaction to probe failures; only consulted when fault_injector is set.
   FaultHandlingOptions fault_handling;
-  /// Worker threads for the ranking phase. 1 (the default) keeps the fully
-  /// serial path; values > 1 shard the per-resource candidate scan across a
-  /// fixed pool. The ordered index (see the file comment) ranks serially
-  /// and ignores this: against the 4-thread scan it measured faster or
-  /// even on every workload tried but one (docs/PERFORMANCE.md "Ordered
-  /// index for value-stable policies"). The emitted schedule is
-  /// byte-identical for every value (determinism contract,
-  /// docs/PERFORMANCE.md); values < 1 mean 1.
-  int num_threads = 1;
   /// Steady-state capacity hints (see SchedulerSizingHints).
   SchedulerSizingHints sizing;
   /// Reclaim per-CEI state once a CEI reaches a terminal state (captured,
@@ -215,11 +199,10 @@ struct SchedulerStats {
   /// --timing flag): index maintenance (activation — on the ordered-index
   /// path this includes computing each admitted EI's value and pushing it —
   /// expiry catch-up, pushes), candidate ranking (BeginChronon + top-C
-  /// selection: the scan's values and per-resource dedup, the phase
-  /// num_threads parallelizes, or the ordered index's pops), probe
-  /// issuance (greedy walk + fault handling), and capture/expiry sweeps
-  /// (on the ordered-index path also the slot-column compaction and the
-  /// re-keying of CEIs that captured an EI).
+  /// selection: the scan's values and per-resource dedup, or the ordered
+  /// index's pops), probe issuance (greedy walk + fault handling), and
+  /// capture/expiry sweeps (on the ordered-index path also the slot-column
+  /// compaction and the re-keying of CEIs that captured an EI).
   double activate_seconds = 0.0;
   double rank_seconds = 0.0;
   double probe_seconds = 0.0;
@@ -245,9 +228,8 @@ struct ResourceHealth {
 };
 
 /// The online proxy scheduling engine. Drive it from a single chronon loop:
-/// the public API is not thread-safe. Internally the ranking phase fans out
-/// across SchedulerOptions::num_threads workers and joins before any state
-/// is mutated, so callers never observe concurrency.
+/// the public API is not thread-safe, and a Step runs entirely on the
+/// calling thread.
 class OnlineScheduler {
  public:
   /// `policy` must outlive the scheduler. `num_chronons` bounds the epoch.
@@ -363,12 +345,6 @@ class OnlineScheduler {
     uint64_t seq = 0;
     CandidateEi cand;
   };
-  // Live candidate EIs one rank shard withheld this chronon, per gate
-  // (SchedulerStats::retries_suppressed / incident_probes_suppressed).
-  struct GateTally {
-    int64_t retries_suppressed = 0;
-    int64_t incident_probes_suppressed = 0;
-  };
   // A resource's best candidate surviving per-resource dedup, with its
   // policy value, cached deadline/resource (so comparisons and dedup skip
   // the EI deref), and (non-preemptive mode) started flag.
@@ -393,7 +369,7 @@ class OnlineScheduler {
     bool started = false;
   };
   // Largest uniform budget served by the table-free bounded top-C path; a
-  // C-entry scan board stops beating the epoch-stamped tables somewhere
+  // C-entry scan board stops beating the per-resource table somewhere
   // beyond this.
   static constexpr int64_t kMaxBoundedTopC = 64;
 
@@ -440,36 +416,31 @@ class OnlineScheduler {
   void RetireTerminalStateOf(const CeiState& state);
   // Copies slot `from` over slot `to` in every live column (compaction).
   void MoveSlot(size_t to, size_t from);
-  // Allocates the epoch-stamped per-resource rank tables on first use —
-  // the bounded top-C path never needs them, so small-budget uniform-cost
-  // runs skip tens of MB per shard at fleet scale.
-  void EnsureRankTables();
-  // One chunk of the scan's fused compact-and-rank pass: scans the shard's
-  // contiguous range of the slot columns, compacts live entries in place
-  // (stable, writing only across gaps), and — when `compute_values` —
-  // computes policy values and tracks candidates for selection. Two
-  // selection modes, both provably
-  // schedule-identical (see RankedBefore):
+  // Truncates every live slot column to its first `n` entries.
+  void ResizeSlots(size_t n);
+  // The scan's fused compact-and-rank pass over the whole slot list:
+  // compacts live entries in place (stable, writing only across gaps) and —
+  // when `compute_values` — computes policy values and leaves the
+  // selection's candidates in merged_, at most one per resource, unsorted.
+  // Two selection modes, both provably schedule-identical (see
+  // RankedBefore):
   //   bounded (top_c > 0) — uniform costs, C <= kMaxBoundedTopC: a C-entry
-  //     per-shard board with linear-scan resource dedup; a candidate that
-  //     cannot beat the board's worst entry is skipped outright, so the
-  //     per-resource tables are never touched (a resource evicted or
-  //     skipped that way is provably outside the global top-C). At the
-  //     paper's canonical C = 1 the board is one running minimum.
-  //   tables (top_c == 0) — varying costs or large C: each resource's best
-  //     in the shard's epoch-stamped partial-best table.
+  //     board with linear-scan resource dedup; a candidate that cannot beat
+  //     the board's worst entry is skipped outright, so the per-resource
+  //     table is never touched (a resource evicted or skipped that way is
+  //     provably outside the top-C). At the paper's canonical C = 1 the
+  //     board is one running minimum.
+  //   table (top_c == 0) — varying costs or large C: every eligible
+  //     resource's best candidate, found through best_at_.
   // `check_attempted` is false when no resource was contacted before the
   // rank phase (no pushes or fleet trials) — the common case, which skips
   // the per-candidate attempted_now_ lookup. kFaulty (an injector is
   // attached) gates each live candidate on its own resource — backoff and
-  // breaker, the retry budget, fleet-breaker suppression — and shrinks its
-  // deadline; the withheld candidates are tallied in shard_gates_. Runs
-  // concurrently with other shards: writes only the shard's own slot
-  // range, board, tables, and tally; everything else it touches (health,
-  // stats, the detector included) is read-only during the phase.
+  // breaker, the retry budget, fleet-breaker suppression — counts the
+  // withheld ones in stats_, and shrinks the others' deadlines.
   template <bool kFaulty>
-  void RankShard(int shard, Chronon now, bool compute_values, size_t top_c,
-                 bool check_attempted);
+  void RankScan(Chronon now, bool compute_values, size_t top_c,
+                bool check_attempted);
 
   // --- Ordered index (ordered_ only) ---
   // Pushes live, activated `cand` of states_[state] with its current value
@@ -644,38 +615,16 @@ class OnlineScheduler {
   std::vector<ResourceId> pushed_now_scratch_;
   std::vector<ResourceId> r_ids_scratch_;
 
-  // Ranking scratch, reused across chronons to avoid per-step allocation.
-  // Bounded top-C mode: each shard's C-entry selection board.
-  std::vector<std::vector<Ranked>> shard_topc_;
-  // Table mode (lazily allocated by EnsureRankTables): each shard keeps its
-  // partial per-resource bests in shard_best_ (rows of num_resources_
-  // entries), valid when the matching shard_best_epoch_ entry equals
-  // rank_epoch_ — stamping makes per-tick resets O(touched), not
-  // O(resources).
-  std::vector<Ranked> shard_best_;
-  std::vector<uint64_t> shard_best_epoch_;
-  // Resources each shard touched this tick, in first-touch order.
-  std::vector<std::vector<ResourceId>> shard_touched_;
-  // Post-compaction end of each shard's chunk (gaps are stitched serially
-  // after the pool joins).
-  std::vector<size_t> shard_live_end_;
-  size_t chunk_size_ = 0;  // slots per shard this tick
-  // Serial merge of the shards' partial bests (same stamping scheme;
-  // best_of_r_/best_epoch_ are lazily allocated with the shard tables).
-  std::vector<Ranked> best_of_r_;
-  std::vector<uint64_t> best_epoch_;
-  std::vector<ResourceId> touched_;
-  uint64_t rank_epoch_ = 0;
-  // The merged, globally sorted selection handed to the greedy walk.
+  // The chronon's selection handed to the greedy walk, in rank order. The
+  // rank scan fills it (bounded mode uses it as its board, reserved in the
+  // constructor), Step sorts it; the ordered index pops into it sorted.
   std::vector<Ranked> merged_;
+  // Table mode (allocated on first use): best_at_[r] is the position of
+  // resource r's best candidate in merged_, valid iff it is in range and
+  // that entry's resource is r — so no per-chronon reset is needed, and
+  // stale positions from earlier chronons fail the check.
+  std::vector<uint32_t> best_at_;
   std::vector<SeqCand> expiry_scratch_;
-  // Each shard's gate tallies for the current rank phase, summed into
-  // stats_ in shard order after the join.
-  std::vector<GateTally> shard_gates_;
-  // Worker pool for the scan's ranking phase; null when num_threads <= 1 or
-  // the ordered index ranks (its selection is serial).
-  std::unique_ptr<ThreadPool> pool_;
-  int num_shards_ = 1;
 
   // Per-resource failure-handling state; empty when no injector is set.
   std::vector<ResourceHealth> health_;

@@ -57,13 +57,8 @@ class Policy {
 
   /// Cost of probing `cand` at chronon `now`; the scheduler picks candidates
   /// in ascending Value order. Ties are broken by earlier deadline, then by
-  /// EI id, to keep runs deterministic.
-  ///
-  /// Thread-safety contract: between BeginChronon and the end of the
-  /// chronon's selection, Value must be safe to call concurrently from the
-  /// scheduler's ranking shards — i.e. it must not mutate policy state
-  /// (enforced by const) and must not depend on call order. NotifyProbed is
-  /// always invoked serially, after ranking.
+  /// EI id, to keep runs deterministic. Value must not mutate policy state
+  /// (enforced by const). NotifyProbed is invoked after ranking.
   virtual double Value(const CandidateEi& cand, Chronon now) const = 0;
 
   /// True iff Value(cand, now) is independent of `now` and changes only

@@ -23,7 +23,7 @@
 // spend record — every one a deterministic function of the shard's inputs,
 // because the wrapped Proxy is (docs/CONCURRENCY.md). Feed the same
 // arrival sequence at the same chronons and the stream reproduces byte for
-// byte at any SchedulerOptions::num_threads (the replay-identity suite).
+// byte (the replay-identity suite).
 
 #ifndef WEBMON_SHARD_SHARD_RUNTIME_H_
 #define WEBMON_SHARD_SHARD_RUNTIME_H_

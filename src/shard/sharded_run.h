@@ -15,8 +15,8 @@
 // thread pool (`parallel_shards`, at most one thread per core) — no shard
 // reads another's state — and the per-shard streams, arrival logs, and the
 // aggregate come out equal either way (byte-identical once serialized), at
-// any pool size and any SchedulerOptions::num_threads per shard. The
-// replay-identity suite (tests/shard/sharded_run_test.cc) pins this.
+// any pool size. The replay-identity suite (tests/shard/sharded_run_test.cc)
+// pins this.
 //
 // RunSharded formats nothing: the per-shard streams and arrival logs are
 // moved out of the shards as data, and a caller that persists one
@@ -58,7 +58,7 @@ struct ShardedRunConfig {
   /// Policy instantiated per shard (policy/policy_factory.h).
   std::string policy = "s-edf";
   uint64_t policy_seed = 42;
-  /// Per-shard scheduler options (num_threads is threads WITHIN a shard).
+  /// Scheduler options every shard runs with.
   SchedulerOptions scheduler_options;
   /// Run shards concurrently on a thread pool instead of serially. The
   /// result is identical either way (see the determinism contract above).

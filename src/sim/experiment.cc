@@ -92,7 +92,6 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config,
       SchedulerOptions options;
       options.preemptive = specs[i].preemptive;
       options.fault_handling = config.fault_handling;
-      options.num_threads = config.num_threads;
       std::unique_ptr<FaultInjector> injector;
       if (!config.fault_spec.IsIdeal()) {
         injector = std::make_unique<FaultInjector>(

@@ -64,11 +64,6 @@ struct ExperimentConfig {
   /// Repetitions with distinct derived seeds (the paper uses 10).
   uint32_t repetitions = 10;
   uint64_t seed = 1;
-
-  /// Ranking threads per scheduler (SchedulerOptions::num_threads).
-  /// Schedules are byte-identical across thread counts; this only
-  /// changes wall-clock cost.
-  int num_threads = 1;
 };
 
 /// A policy to run: name resolved via MakePolicy, plus the preemption mode.

@@ -28,7 +28,8 @@ int ThreadPool::DefaultThreads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-void ThreadPool::ParallelFor(int num_tasks, TaskRef fn) {
+void ThreadPool::ParallelFor(int num_tasks,
+                             const std::function<void(int)>& fn) {
   if (num_tasks <= 0) return;
   if (workers_.empty() || num_tasks == 1) {
     for (int t = 0; t < num_tasks; ++t) fn(t);
@@ -59,7 +60,7 @@ void ThreadPool::ParallelFor(int num_tasks, TaskRef fn) {
 void ThreadPool::WorkerLoop() {
   uint64_t seen_epoch = 0;
   for (;;) {
-    const TaskRef* job = nullptr;
+    const std::function<void(int)>* job = nullptr;
     int num_tasks = 0;
     {
       MutexLock lock(mu_);

@@ -1,8 +1,9 @@
 // Fixed-size worker pool for deterministic fork-join parallelism.
 //
-// The scheduler's sharded ranking phase (docs/PERFORMANCE.md) is the primary
-// client: ParallelFor(n, fn) runs fn(0) .. fn(n-1) across the workers plus
-// the calling thread and returns once every task has finished. Determinism
+// Its clients are the exact solver's parallel root split, the concurrent
+// ingestion driver's producer lanes and RunSharded's parallel shards:
+// ParallelFor(n, fn) runs fn(0) .. fn(n-1) across the workers plus the
+// calling thread and returns once every task has finished. Determinism
 // is the caller's side of the contract: tasks must write only their own
 // output slots, so the combined result is independent of which worker ran
 // which task and of interleaving. The pool adds no ordering of its own.
@@ -16,40 +17,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace webmon {
-
-/// Non-owning reference to a callable invoked as fn(task_index): a pointer
-/// to the callable plus a pointer to a function that calls it, so passing
-/// one never allocates (a std::function whose lambda outgrows the small
-/// buffer would, on every call). The referenced callable must outlive every
-/// call through the reference; ParallelFor's caller keeps its argument
-/// alive until the join, which is the only place the pool stores one.
-class TaskRef {
- public:
-  // Implicit, so call sites pass their lambda straight to ParallelFor.
-  template <typename F, typename = std::enable_if_t<
-                            !std::is_same_v<std::decay_t<F>, TaskRef>>>
-  TaskRef(F&& fn)  // NOLINT(runtime/explicit)
-      : callable_(const_cast<void*>(
-            static_cast<const void*>(std::addressof(fn)))),
-        call_([](void* callable, int task) {
-          (*static_cast<std::remove_reference_t<F>*>(callable))(task);
-        }) {}
-
-  void operator()(int task) const { call_(callable_, task); }
-
- private:
-  void* callable_;
-  void (*call_)(void*, int);
-};
 
 /// A fixed pool of worker threads executing fork-join parallel loops.
 /// Construction spawns the workers once; ParallelFor reuses them, so the
@@ -72,9 +47,8 @@ class ThreadPool {
   /// the workers and the calling thread; returns after the last task
   /// completes. All writes made by the tasks happen-before the return.
   /// Not reentrant: fn must not call ParallelFor on the same pool, and only
-  /// one thread may drive the pool at a time (the scheduler's single
-  /// chronon loop satisfies both).
-  void ParallelFor(int num_tasks, TaskRef fn);
+  /// one thread may drive the pool at a time.
+  void ParallelFor(int num_tasks, const std::function<void(int)>& fn);
 
   /// Hardware concurrency clamped to at least 1 (the conventional default
   /// for a `--threads 0` style "use all cores" knob).
@@ -96,7 +70,7 @@ class ThreadPool {
   // task counter with another job's function. ParallelFor resets it to null
   // once the job is done; a worker waking after that skips the epoch
   // instead of adopting the retired job.
-  const TaskRef* job_ GUARDED_BY(mu_) = nullptr;
+  const std::function<void(int)>* job_ GUARDED_BY(mu_) = nullptr;
   int job_tasks_ GUARDED_BY(mu_) = 0;
   uint64_t job_epoch_ GUARDED_BY(mu_) = 0;
   int workers_in_job_ GUARDED_BY(mu_) = 0;

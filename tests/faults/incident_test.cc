@@ -614,52 +614,6 @@ INSTANTIATE_TEST_SUITE_P(
       return name + (std::get<1>(param.param) ? "_P" : "_NP");
     });
 
-TEST(IncidentSchedulerTest, ThreadCountDoesNotChangeIncidentRuns) {
-  Rng rng(0x7C0);
-  FaultSpec spec;
-  spec.defaults.transient_error_prob = 0.1;
-  IncidentDomain d = Domain("fleet", 0.05, 0.05, 1.0);
-  d.stride = 2;
-  spec.incidents = {d};
-  // Spent mid-run, so the shards' retry-budget gate tallies are compared
-  // too.
-  spec.retry_budget = 12.0;
-
-  const auto problem = RandomInstance(rng, 10, 150, 2, 50);
-  std::vector<OnlineRunResult> runs;
-  const int threads[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
-    FaultInjector injector(spec, problem.num_resources(), 0xBEEF);
-    auto policy = MakePolicy("m-edf", 17);
-    ASSERT_TRUE(policy.ok());
-    SchedulerOptions options;
-    options.fault_injector = &injector;
-    options.num_threads = threads[i];
-    auto run = RunOnline(problem, policy->get(), options);
-    ASSERT_TRUE(run.ok()) << run.status();
-    runs.push_back(std::move(*run));
-  }
-
-  for (Chronon t = 0; t < 150; ++t) {
-    EXPECT_EQ(runs[0].schedule.ProbesAt(t), runs[1].schedule.ProbesAt(t))
-        << "chronon " << t;
-  }
-  ASSERT_EQ(runs[0].attempts.size(), runs[1].attempts.size());
-  for (size_t i = 0; i < runs[0].attempts.size(); ++i) {
-    EXPECT_TRUE(runs[0].attempts[i] == runs[1].attempts[i]) << i;
-  }
-  EXPECT_EQ(runs[0].stats.incident_openings, runs[1].stats.incident_openings);
-  EXPECT_EQ(runs[0].stats.incident_trial_probes,
-            runs[1].stats.incident_trial_probes);
-  EXPECT_EQ(runs[0].stats.incident_probes_suppressed,
-            runs[1].stats.incident_probes_suppressed);
-  EXPECT_EQ(runs[0].stats.incident_windows_detected,
-            runs[1].stats.incident_windows_detected);
-  EXPECT_GT(runs[0].stats.retries_suppressed, 0);
-  EXPECT_EQ(runs[0].stats.retries_suppressed,
-            runs[1].stats.retries_suppressed);
-}
-
 TEST(IncidentSchedulerTest, DetectionRecoversCompletenessUnderLongIncidents) {
   // One repetition of bench_faults' incident ablation: the paper-baseline
   // workload under rare, long fleet incidents covering every even

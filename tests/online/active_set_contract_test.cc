@@ -5,9 +5,9 @@
 // the live entries at every chronon and checks them against the active set
 // rebuilt from scratch by the test's own model — arrived and activated,
 // start <= t <= finish, uncaptured, CEI live — in activation order, under
-// contiguous and gapped stepping with cancels and pushes, at 1 and 3
-// threads. The model learns captures only from the scheduler's public
-// outputs (probed resources) and the test's own pushes and cancels.
+// contiguous and gapped stepping with cancels and pushes. The model learns
+// captures only from the scheduler's public outputs (probed resources) and
+// the test's own pushes and cancels.
 
 #include <algorithm>
 #include <string>
@@ -121,17 +121,15 @@ std::vector<Cei> MakeCeis(Rng& rng, uint32_t n, Chronon k, int count) {
   return ceis;
 }
 
-void RunContract(bool gapped, int threads, uint64_t seed) {
+void RunContract(bool gapped, uint64_t seed) {
   constexpr uint32_t kResources = 12;
   constexpr Chronon kChronons = 60;
   Rng rng(seed);
   const std::vector<Cei> ceis = MakeCeis(rng, kResources, kChronons, 90);
 
   RecordingPolicy policy;
-  SchedulerOptions options;
-  options.num_threads = threads;
   OnlineScheduler scheduler(kResources, kChronons, BudgetVector::Uniform(2),
-                            &policy, options);
+                            &policy);
 
   std::vector<ModelCei> model(ceis.size());
   for (size_t c = 0; c < ceis.size(); ++c) {
@@ -240,24 +238,21 @@ void RunContract(bool gapped, int threads, uint64_t seed) {
   EXPECT_GT(policy.stale(), 0) << "no stale entry ever reached the policy";
 }
 
-class ActiveSetContractTest
-    : public ::testing::TestWithParam<std::tuple<bool, int>> {};
+class ActiveSetContractTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(ActiveSetContractTest, LiveEntriesEqualActiveSetRebuiltFromScratch) {
-  const auto [gapped, threads] = GetParam();
+  const bool gapped = GetParam();
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    RunContract(gapped, threads, seed);
+    RunContract(gapped, seed);
     if (HasFatalFailure()) return;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Stepping, ActiveSetContractTest,
-    ::testing::Combine(::testing::Bool(), ::testing::Values(1, 3)),
-    [](const ::testing::TestParamInfo<std::tuple<bool, int>>& param) {
-      return std::string(std::get<0>(param.param) ? "gapped" : "contiguous") +
-             "_t" + std::to_string(std::get<1>(param.param));
+    Stepping, ActiveSetContractTest, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool>& param) {
+      return std::string(param.param ? "gapped" : "contiguous");
     });
 
 }  // namespace

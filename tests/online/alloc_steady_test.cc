@@ -1,16 +1,14 @@
 // Counter-based regression test for the steady-state allocation contract
 // (docs/PERFORMANCE.md "Memory & sustained throughput"): after warm-up, an
-// OnlineScheduler::Step performs ZERO heap allocations, at one thread with
-// or without a fault injector and at three threads without — the
-// per-chronon event buckets recycle through the EventRing free lists, the
-// slot columns and ranking scratch have reached their high-water capacity,
-// and nothing per-tick touches the heap.
+// OnlineScheduler::Step performs ZERO heap allocations, with or without a
+// fault injector — the per-chronon event buckets recycle through the
+// EventRing free lists, the slot columns and ranking scratch have reached
+// their high-water capacity, and nothing per-tick touches the heap.
 //
 // This test lives in its own binary: WEBMON_DEFINE_COUNTING_OPERATOR_NEW()
 // replaces the process-global operator new/delete with counting versions,
 // which must not leak into the main webmon_tests binary.
 
-#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -61,23 +59,10 @@ std::vector<Cei> MakeWorkload(uint32_t num_resources, Chronon num_chronons,
   return ceis;
 }
 
-// One fault-free configuration: a policy, and the scheduler's thread count.
-struct SteadyCase {
-  std::string policy;
-  int threads = 1;
-};
-
-// Prints the quoted policy name, plus the thread count when above one.
-void PrintTo(const SteadyCase& c, std::ostream* os) {
-  *os << '"' << c.policy << '"';
-  if (c.threads > 1) *os << " at " << c.threads << " threads";
-}
-
 // The tentpole contract, for every policy: once arrivals stop and the
 // scratch capacities (the policies' own per-resource tables included) have
-// warmed up, every subsequent fault-free Step allocates nothing at all —
-// also when the scan's rank phase fans out across the worker pool.
-class AllocSteadyTest : public ::testing::TestWithParam<SteadyCase> {};
+// warmed up, every subsequent fault-free Step allocates nothing at all.
+class AllocSteadyTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AllocSteadyTest, FaultFreeSteadyStateStepAllocatesNothing) {
   constexpr uint32_t kResources = 500;
@@ -86,15 +71,13 @@ TEST_P(AllocSteadyTest, FaultFreeSteadyStateStepAllocatesNothing) {
   constexpr Chronon kWarmup = 60;
   constexpr Chronon kMeasured = 120;
 
-  auto policy = MakePolicy(GetParam().policy, 17);
+  auto policy = MakePolicy(GetParam(), 17);
   ASSERT_TRUE(policy.ok()) << policy.status();
   const std::vector<Cei> ceis =
       MakeWorkload(kResources, kChronons, kArrivalChronons, 25, 1);
 
-  SchedulerOptions options;
-  options.num_threads = GetParam().threads;
   OnlineScheduler scheduler(kResources, kChronons, BudgetVector::Uniform(4),
-                            policy->get(), options);
+                            policy->get());
   size_t next = 0;
   for (Chronon t = 0; t < kWarmup; ++t) {
     while (next < ceis.size() && ceis[next].arrival == t) {
@@ -118,33 +101,21 @@ TEST_P(AllocSteadyTest, FaultFreeSteadyStateStepAllocatesNothing) {
   EXPECT_GT(scheduler.stats().eis_captured, 0);
 }
 
-std::vector<SteadyCase> AllPoliciesAt(int threads) {
-  std::vector<SteadyCase> cases;
-  for (const char* policy : {"s-edf", "m-edf", "mrsf", "w-mrsf", "wic",
-                             "random", "round-robin"}) {
-    cases.push_back({policy, threads});
-  }
-  return cases;
-}
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, AllocSteadyTest,
+    ::testing::Values("s-edf", "m-edf", "mrsf", "w-mrsf", "wic", "random",
+                      "round-robin"),
+    [](const ::testing::TestParamInfo<std::string>& param) {
+      std::string name = param.param;
+      for (auto& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
 
-std::string SteadyCaseName(const ::testing::TestParamInfo<SteadyCase>& param) {
-  std::string name = param.param.policy;
-  for (auto& ch : name) {
-    if (ch == '-') ch = '_';
-  }
-  return name;
-}
-
-INSTANTIATE_TEST_SUITE_P(AllPolicies, AllocSteadyTest,
-                         ::testing::ValuesIn(AllPoliciesAt(1)),
-                         SteadyCaseName);
-INSTANTIATE_TEST_SUITE_P(ThreeThreads, AllocSteadyTest,
-                         ::testing::ValuesIn(AllPoliciesAt(3)),
-                         SteadyCaseName);
-
-// The same contract on the fault path, at one thread: with the attempt log
-// pre-sized through SchedulerSizingHints::expected_attempts, a steady-state
-// Step allocates nothing whether the injector fails probes through
+// The same contract on the fault path: with the attempt log pre-sized
+// through SchedulerSizingHints::expected_attempts, a steady-state Step
+// allocates nothing whether the injector fails probes through
 // transients and outages (backoff, breaker, deadline shrink, retries) or
 // also runs a fleet incident domain (the detector's window ring,
 // fleet-breaker gating and trials). The fault-free case is the test above.

@@ -5,7 +5,7 @@
 // cancels some of them before their windows open must be byte-identical —
 // schedule, stats, capture/expiry streams — to a from-scratch run over the
 // survivors alone, for every policy, both preemption modes, with and
-// without fault injection, at 1/2/4/8 ranking threads. A randomized
+// without fault injection, over four seeded sets of scenarios. A randomized
 // churn-fuzz differential then compares the incremental index unwinding
 // against a naive rebuild-from-scratch reference for mid-flight cancels,
 // and a race matrix pins how a cancel resolves against a same-chronon
@@ -124,16 +124,14 @@ struct ScriptedRun {
 };
 
 ScriptedRun RunScripted(const Scenario& sc, const std::string& policy_name,
-                        bool preemptive, int threads,
-                        const FaultSpec* fault_spec, uint64_t fault_seed,
-                        bool survivors_only) {
+                        bool preemptive, const FaultSpec* fault_spec,
+                        uint64_t fault_seed, bool survivors_only) {
   ScriptedRun run;
   auto policy = MakePolicy(policy_name, 11);
   EXPECT_TRUE(policy.ok());
   std::unique_ptr<FaultInjector> injector;
   SchedulerOptions options;
   options.preemptive = preemptive;
-  options.num_threads = threads;
   if (fault_spec != nullptr) {
     injector = std::make_unique<FaultInjector>(*fault_spec, sc.num_resources,
                                                fault_seed);
@@ -188,14 +186,16 @@ ScriptedRun RunScripted(const Scenario& sc, const std::string& policy_name,
   return run;
 }
 
+// The last parameter, `trial_set` (case-name suffix `_t<n>`), seeds the
+// case's scenarios.
 class ChurnEquivalence
     : public ::testing::TestWithParam<
           std::tuple<std::string, bool, bool, int>> {};
 
 TEST_P(ChurnEquivalence, ChurnedRunMatchesFromScratchSurvivorRun) {
-  const auto& [policy_name, preemptive, with_faults, threads] = GetParam();
+  const auto& [policy_name, preemptive, with_faults, trial_set] = GetParam();
   Rng rng(0xC4A0 + (preemptive ? 1 : 0) + (with_faults ? 2 : 0) +
-          static_cast<uint64_t>(threads) * 131);
+          static_cast<uint64_t>(trial_set) * 131);
   FaultSpec spec;
   spec.defaults.transient_error_prob = 0.25;
   spec.defaults.timeout_prob = 0.05;
@@ -204,10 +204,10 @@ TEST_P(ChurnEquivalence, ChurnedRunMatchesFromScratchSurvivorRun) {
     const Scenario sc = RandomScenario(rng);
     const uint64_t fault_seed = 0xFACE + static_cast<uint64_t>(trial);
     const FaultSpec* faults = with_faults ? &spec : nullptr;
-    const ScriptedRun a = RunScripted(sc, policy_name, preemptive, threads,
-                                      faults, fault_seed, false);
-    const ScriptedRun b = RunScripted(sc, policy_name, preemptive, threads,
-                                      faults, fault_seed, true);
+    const ScriptedRun a =
+        RunScripted(sc, policy_name, preemptive, faults, fault_seed, false);
+    const ScriptedRun b =
+        RunScripted(sc, policy_name, preemptive, faults, fault_seed, true);
 
     // The schedules are byte-identical, not merely survivor-equivalent:
     // a cancelled-before-activation CEI never reaches a ranking pass, so
@@ -257,7 +257,6 @@ TEST_P(ChurnEquivalence, ChurnedRunMatchesFromScratchSurvivorRun) {
     std::unique_ptr<FaultInjector> replay_injector;
     SchedulerOptions replay_options;
     replay_options.preemptive = preemptive;
-    replay_options.num_threads = threads;
     if (with_faults) {
       replay_injector = std::make_unique<FaultInjector>(
           spec, sc.num_resources, fault_seed);

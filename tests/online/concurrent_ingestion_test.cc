@@ -337,8 +337,8 @@ TEST(ConcurrentIngestionReplay, RejectsEventsBeyondTheEpoch) {
 
 // ---------------------------------------------------------------------------
 // Stress: a long epoch with loosely paced producers, capture callbacks that
-// resubmit follow-up needs from inside Tick(), and the sharded ranking pool
-// running under the tick — the workload the tsan job certifies race-free.
+// resubmit follow-up needs from inside Tick() — the workload the tsan job
+// certifies race-free.
 // Pacing here is best-effort (no barrier per chronon), so interleavings are
 // messy on purpose; the replay identity must hold regardless.
 // ---------------------------------------------------------------------------
@@ -354,7 +354,6 @@ TEST(ConcurrentIngestionStress, RacingProducersTicksAndCallbacks) {
   FaultInjector injector(FlakySpec(), kStressResources, seed);
   SchedulerOptions options;
   options.fault_injector = &injector;
-  options.num_threads = 2;
   Proxy proxy(kStressResources, kStressHorizon, BudgetVector::Uniform(2),
               std::move(*policy), options);
 

@@ -11,7 +11,7 @@
 // start before and after their arrival, windows that run past the epoch,
 // zero-budget chronons, pushes, cancels (live and no-op) and CEIs
 // registered twice under one id, under contiguous and gapped stepping,
-// with terminal-state compaction on and off, at 1 and 3 threads.
+// with terminal-state compaction on and off.
 
 #include <algorithm>
 #include <atomic>
@@ -116,7 +116,6 @@ struct Config {
   bool gapped = false;
   bool compact = false;
   int64_t budget = 1;
-  int threads = 1;
   // LifecycleOf of every CEI is recorded after every this-many steps.
   int64_t lifecycle_stride = 1;
 };
@@ -143,7 +142,6 @@ RunLog RunScheduler(const Config& config, const Shape& shape,
   ForwardingPolicy policy(std::move(*inner), through_index);
   SchedulerOptions options;
   options.preemptive = config.preemptive;
-  options.num_threads = config.threads;
   options.compact_terminal_states = config.compact;
   // Every seventh chronon has no budget: nothing is ranked, but the
   // compaction and the index's lazy deletion still run.
@@ -248,23 +246,19 @@ TEST_P(OrderedIndexIdentity, IndexSelectsExactlyWhatTheScanSelects) {
   const auto& [policy, preemptive, gapped, compact] = GetParam();
   const Shape shape{40, 90, 160, 12};
   for (const int64_t budget : {1, 4, 16, 80}) {
-    for (const int threads : {1, 3}) {
-      for (uint64_t seed = 1; seed <= 3; ++seed) {
-        Rng rng(seed * 0x9E37 + static_cast<uint64_t>(budget));
-        const std::vector<Cei> ceis = MakeCeis(rng, shape);
-        const Config config{policy, preemptive, gapped, compact,
-                            budget, threads,    1};
-        const std::string label =
-            "C=" + std::to_string(budget) + " threads=" +
-            std::to_string(threads) + " seed=" + std::to_string(seed);
-        const RunLog index = RunScheduler(config, shape, ceis, true, seed);
-        const RunLog scan = RunScheduler(config, shape, ceis, false, seed);
-        ExpectIdentical(index, scan, label);
-        EXPECT_GT(index.stats.eis_captured, 0) << label;
-        EXPECT_GT(index.stats.ceis_cancelled, 0) << label;
-        EXPECT_GT(index.stats.pushes_delivered, 0) << label;
-        if (HasFailure()) return;
-      }
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(seed * 0x9E37 + static_cast<uint64_t>(budget));
+      const std::vector<Cei> ceis = MakeCeis(rng, shape);
+      const Config config{policy, preemptive, gapped, compact, budget, 1};
+      const std::string label =
+          "C=" + std::to_string(budget) + " seed=" + std::to_string(seed);
+      const RunLog index = RunScheduler(config, shape, ceis, true, seed);
+      const RunLog scan = RunScheduler(config, shape, ceis, false, seed);
+      ExpectIdentical(index, scan, label);
+      EXPECT_GT(index.stats.eis_captured, 0) << label;
+      EXPECT_GT(index.stats.ceis_cancelled, 0) << label;
+      EXPECT_GT(index.stats.pushes_delivered, 0) << label;
+      if (HasFailure()) return;
     }
   }
 }
@@ -293,7 +287,7 @@ TEST(OrderedIndexIdentityLong, RebuildsAndRecycledStatesStayIdentical) {
   for (const bool preemptive : {true, false}) {
     Rng rng(preemptive ? 7 : 8);
     const std::vector<Cei> ceis = MakeCeis(rng, shape);
-    const Config config{"w-mrsf", preemptive, false, true, 2, 1, 50};
+    const Config config{"w-mrsf", preemptive, false, true, 2, 50};
     const std::string label = preemptive ? "P" : "NP";
     const RunLog index = RunScheduler(config, shape, ceis, true, 5);
     const RunLog scan = RunScheduler(config, shape, ceis, false, 5);

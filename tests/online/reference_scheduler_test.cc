@@ -188,9 +188,9 @@ TEST_P(ReferenceDifferential, SchedulesIdentically) {
 
 // ---------------------------------------------------------------------------
 // Budgets straddling the bounded-top-C board limit (kMaxBoundedTopC = 64):
-// C = 63/64 select through the per-shard boards, C = 65/96 through the
-// epoch-stamped tables. Both must reproduce the naive full sort exactly —
-// this pins the board's skip/evict pruning and the mode switch itself.
+// C = 63/64 select through the board, C = 65/96 through the per-resource
+// table. Both must reproduce the naive full sort exactly — this pins the
+// board's skip/evict pruning and the mode switch itself.
 // ---------------------------------------------------------------------------
 TEST(SoaIdentityTest, BudgetsAcrossBoundedTopCBoundaryMatchNaive) {
   Rng rng(0xB0A2D);

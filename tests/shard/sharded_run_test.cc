@@ -170,29 +170,6 @@ TEST(ShardedRunTest, EachShardArrivalLogReplaysToItsStreamProbes) {
   }
 }
 
-TEST(ShardedRunTest, ReplayIdentityAcrossPerShardThreadCounts) {
-  constexpr uint32_t kResources = 100;
-  constexpr Chronon kHorizon = 40;
-  const ShardedWorkload workload =
-      MakeWorkload(kResources, kHorizon, /*arrivals_per_chronon=*/3,
-                   /*seed=*/31);
-  ShardedRunConfig config = BaseConfig(kResources, kHorizon);
-  config.num_shards = 4;
-  std::string reference;
-  for (const int threads : {1, 2, 4}) {
-    config.scheduler_options.num_threads = threads;
-    auto run = RunSharded(config, workload);
-    ASSERT_TRUE(run.ok()) << "threads=" << threads << ": " << run.status();
-    const std::string fp = Fingerprint(*run);
-    if (reference.empty()) {
-      reference = fp;
-    } else {
-      EXPECT_EQ(fp, reference)
-          << "per-shard num_threads=" << threads << " changed the merge";
-    }
-  }
-}
-
 TEST(ShardedRunTest, ShardCountLeavesSingleShardSemanticsIntact) {
   // The 1-shard sharded run is the plain scheduler in a wrapper: every
   // CEI lands on shard 0 and nothing is cross-shard.

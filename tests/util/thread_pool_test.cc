@@ -68,8 +68,7 @@ TEST(ThreadPoolTest, ZeroTasksIsANoOp) {
 }
 
 TEST(ThreadPoolTest, SurvivesHeavyReuse) {
-  // The scheduler calls ParallelFor once per chronon for thousands of
-  // chronons; hammer the wakeup/epoch handshake with small jobs.
+  // Hammer the wakeup/epoch handshake with thousands of small jobs.
   ThreadPool pool(4);
   std::atomic<int64_t> total{0};
   int64_t expected = 0;

@@ -106,10 +106,10 @@ LINE_COMMENT = re.compile(r"//.*$")
 # the named methods are the ones on the OnlineScheduler::Step call path.
 HOTPATH_FUNCTIONS = {
     "src/online/online_scheduler.cc": {
-        "Step", "RankShard", "Activate", "AdmitActive", "ProcessExpiries",
-        "MarkFailed", "MoveSlot", "IssueProbe", "RecordProbe", "Capture",
-        "IndexPush", "RebuildIndex", "SelectFromIndex", "RekeyCei",
-        "CaptureAndCompact",
+        "Step", "RankScan", "Activate", "AdmitActive", "ProcessExpiries",
+        "MarkFailed", "MoveSlot", "ResizeSlots", "IssueProbe", "RecordProbe",
+        "Capture", "IndexPush", "RebuildIndex", "SelectFromIndex",
+        "RekeyCei", "CaptureAndCompact",
     },
 }
 HOTPATH_ALLOW = "hotpath-alloc-ok:"

@@ -69,6 +69,15 @@ constexpr int64_t kMaxChronons = 1'000'000;
 constexpr int64_t kMaxShards = 1024;
 constexpr int64_t kMaxRank = 64;
 constexpr int64_t kMaxArrivals = 100'000;
+// Largest `shard` workload, arrivals x chronons x rank EIs: each flag's own
+// maximum still allows 6.4 * 10^12 EIs, all built before the first chronon.
+constexpr int64_t kMaxShardWorkloadEis = 10'000'000;
+
+// Largest accepted worker count for `offline --threads` and `ingest
+// --producer-threads`: each is a thread the pool starts, so an unchecked
+// count asks the OS for that many threads (and a count past 2^31 is
+// narrowed to a different one).
+constexpr int64_t kMaxThreads = 64;
 
 // The documented range of one integer flag.
 struct FlagRange {
@@ -205,9 +214,6 @@ int RunCommand(int argc, const char* const* argv) {
                  "non-preemptive)")
       .AddBool("offline", false, "also run the offline approximation")
       .AddInt("reps", 5, "repetitions")
-      .AddInt("threads", 1,
-              "ranking threads per scheduler (0 = hardware concurrency); "
-              "schedules are identical at any thread count")
       .AddBool("timing", false, "print per-phase scheduler time columns");
   AddFaultFlags(flags);
   if (Status st = ParseFlags(flags, argc, argv); !st.ok()) {
@@ -239,8 +245,6 @@ int RunCommand(int argc, const char* const* argv) {
   }
   config->fault_spec = *std::move(fault_spec);
   config->fault_seed = static_cast<uint64_t>(flags.GetInt("fault-seed"));
-  const int threads = static_cast<int>(flags.GetInt("threads"));
-  config->num_threads = threads == 0 ? ThreadPool::DefaultThreads() : threads;
 
   std::vector<PolicySpec> specs;
   for (const std::string& token : Split(flags.GetString("policies"), ',')) {
@@ -514,8 +518,6 @@ int ReplayCommand(int argc, const char* const* argv) {
       .AddString("policies", "mrsf,m-edf,s-edf", "comma-separated policies")
       .AddBool("offline", false, "also run the offline approximation")
       .AddInt("seed", 1, "seed for stochastic policies")
-      .AddInt("threads", 1,
-              "ranking threads per scheduler (0 = hardware concurrency)")
       .AddBool("timing", false, "print per-phase scheduler time columns");
   AddFaultFlags(flags);
   if (Status st = ParseFlags(flags, argc, argv); !st.ok()) {
@@ -534,9 +536,6 @@ int ReplayCommand(int argc, const char* const* argv) {
   }
   const bool faulty = !fault_spec->IsIdeal();
   const bool timing = flags.GetBool("timing");
-  const int threads_flag = static_cast<int>(flags.GetInt("threads"));
-  const int num_threads =
-      threads_flag == 0 ? ThreadPool::DefaultThreads() : threads_flag;
   std::cout << ComputeInstanceStats(*problem).ToString() << "\n";
   std::vector<std::string> headers{"policy", "completeness", "weighted",
                                    "probes"};
@@ -559,7 +558,6 @@ int ReplayCommand(int argc, const char* const* argv) {
     }
     // Every policy faces the same fault streams: fresh injector per run.
     SchedulerOptions options;
-    options.num_threads = num_threads;
     std::unique_ptr<FaultInjector> injector;
     if (faulty) {
       injector = std::make_unique<FaultInjector>(
@@ -635,12 +633,13 @@ int OfflineCommand(int argc, const char* const* argv) {
       .AddBool("transform", false,
                "apply the Proposition 5 P^[1] transform before local ratio")
       .AddInt("threads", 1,
-              "exact search threads (0 = hardware concurrency); results are "
-              "identical at any thread count")
+              "exact search threads, 0 to 64 (0 = hardware concurrency); "
+              "results are identical at any thread count")
       .AddInt("max-states", 50'000'000, "exact search state budget")
       .AddBool("timing", false,
                "print search counters and per-phase timers");
-  if (Status st = ParseFlags(flags, argc, argv); !st.ok()) {
+  if (Status st = ParseFlags(flags, argc, argv, {{"threads", 0, kMaxThreads}});
+      !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
@@ -766,7 +765,7 @@ int IngestCommand(int argc, const char* const* argv) {
       .AddInt("chronons", 2000, "epoch length K, at most 10^6")
       .AddInt("budget", 2, "probes per chronon")
       .AddString("policy", "s-edf", "scheduling policy")
-      .AddInt("producer-threads", 4, "concurrent producer threads")
+      .AddInt("producer-threads", 4, "concurrent producer threads, 1 to 64")
       .AddInt("submits-per-producer", 2000,
               "events (submits + pushes) per producer")
       .AddDouble("push-prob", 0.1, "fraction of events that are pushes")
@@ -774,13 +773,12 @@ int IngestCommand(int argc, const char* const* argv) {
                  "fraction of events that cancel an earlier accepted submit "
                  "(mid-epoch profile churn)")
       .AddInt("seed", 1, "payload RNG seed")
-      .AddInt("threads", 1,
-              "ranking threads inside the scheduler (0 = hardware "
-              "concurrency)")
       .AddBool("verify-replay", true,
                "replay the arrival log serially and diff every observable");
   AddFaultFlags(flags);
-  if (Status st = ParseFlags(flags, argc, argv); !st.ok()) {
+  if (Status st = ParseFlags(flags, argc, argv,
+                             {{"producer-threads", 1, kMaxThreads}});
+      !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
@@ -799,9 +797,6 @@ int IngestCommand(int argc, const char* const* argv) {
   options.push_prob = flags.GetDouble("push-prob");
   options.cancel_prob = flags.GetDouble("churn");
   options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  const int threads_flag = static_cast<int>(flags.GetInt("threads"));
-  options.scheduler.num_threads =
-      threads_flag == 0 ? ThreadPool::DefaultThreads() : threads_flag;
   const bool faulty = !fault_spec->IsIdeal();
   std::unique_ptr<FaultInjector> injector;
   if (faulty) {
@@ -909,7 +904,9 @@ int ShardCommand(int argc, const char* const* argv) {
   flags.AddInt("resources", 10000, "number of resources n, at most 10^7")
       .AddInt("chronons", 200, "epoch length K, at most 10^6")
       .AddInt("shards", 4, "number of scheduler shards, 1 to 1024")
-      .AddInt("arrivals", 50, "CEIs arriving per chronon, at most 10^5")
+      .AddInt("arrivals", 50,
+              "CEIs arriving per chronon, at most 10^5 (and arrivals x "
+              "chronons x rank at most 10^7 EIs)")
       .AddInt("rank", 2, "EIs per CEI, 1 to 64")
       .AddInt("window", 16, "EI window width (chronons), 1 to 10^6")
       .AddInt("budget", 16, "GLOBAL probe budget per chronon")
@@ -929,6 +926,15 @@ int ShardCommand(int argc, const char* const* argv) {
                               {"window", 1, kMaxChronons}});
       !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
+    return 2;
+  }
+  // Each factor is bounded above, so the product cannot overflow.
+  const int64_t workload_eis = flags.GetInt("arrivals") *
+                               flags.GetInt("chronons") * flags.GetInt("rank");
+  if (workload_eis > kMaxShardWorkloadEis) {
+    std::cerr << "--arrivals x --chronons x --rank must be <= "
+              << kMaxShardWorkloadEis << " EIs, got " << workload_eis << "\n"
+              << flags.Help();
     return 2;
   }
 
