@@ -145,19 +145,29 @@ int Run(int argc, const char* const* argv) {
                  "per chronon, each in [0, 1] (0 = the baseline row the "
                  "ratio is computed against)")
       .AddString("policy", "s-edf", "scheduling policy")
-      .AddInt("resources", 65536, "number of resources n")
-      .AddInt("window", 25, "EI window width W (chronons)")
-      .AddInt("chronons", 150, "total chronons per cell (incl. warm-up)")
+      .AddInt("resources", 65536, "number of resources n, 1 to 10^7")
+      .AddInt("window", 25, "EI window width W (chronons), 1 to 10^6")
+      .AddInt("chronons", 150,
+              "total chronons per cell (incl. warm-up), 1 to 10^6")
       .AddInt("warmup", 50,
               "untimed warm-up chronons (must exceed the window so the live "
-              "set is in equilibrium)")
-      .AddInt("budget", 8, "probe budget C per chronon")
+              "set is in equilibrium, and stay below --chronons)")
+      .AddInt("budget", 8, "probe budget C per chronon, 0 to 10^7")
       .AddInt("seed", 1, "workload RNG seed");
   if (Status st = flags.Parse(argc, argv); !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
 
+  if (Status st = CheckScalarFlags(flags, {{"resources", 1, kMaxResources},
+                                           {"window", 1, kMaxChronons},
+                                           {"chronons", 1, kMaxChronons},
+                                           {"warmup", 0, kMaxChronons},
+                                           {"budget", 0, kMaxResources}});
+      !st.ok()) {
+    std::cerr << st << "\n";
+    return 2;
+  }
   auto parsed_populations =
       ParseListFlag<int64_t>(flags, "populations", 1, 1'000'000);
   if (!parsed_populations.ok()) {
@@ -180,8 +190,12 @@ int Run(int argc, const char* const* argv) {
   const Chronon warmup = flags.GetInt("warmup");
   const Chronon window = flags.GetInt("window");
   const int64_t budget = flags.GetInt("budget");
-  if (window < 1 || warmup <= window || warmup >= k) {
-    std::cerr << "need 1 <= window < warmup < chronons\n";
+  if (warmup <= window || warmup >= k) {
+    // The live set must reach equilibrium before the measured window, and
+    // that window must hold a chronon.
+    std::cerr << FlagValueError("warmup", std::to_string(warmup), window + 1,
+                                k - 1)
+              << "\n";
     return 2;
   }
 

@@ -9,6 +9,7 @@
 #define WEBMON_BENCH_BENCH_COMMON_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -100,6 +101,26 @@ ExperimentConfig PaperBaseline(uint64_t seed = 1);
 /// proportionally from the paper's 732-auction / 11,150-bid trace).
 ExperimentConfig AuctionBaseline(uint32_t num_auctions, uint64_t seed = 1);
 
+/// Flag bounds the benches share with webmon_cli: resource counts, epoch
+/// lengths (also window widths), arrivals per chronon and EIs per CEI.
+inline constexpr int64_t kMaxResources = 10'000'000;
+inline constexpr int64_t kMaxChronons = 1'000'000;
+inline constexpr int64_t kMaxArrivals = 100'000;
+inline constexpr int64_t kMaxRank = 64;
+
+/// The benches' one error for a flag value that is not a number in
+/// [min, max]: InvalidArgument naming the flag and the offending token.
+template <typename T>
+Status FlagValueError(const std::string& name, const std::string& token,
+                      T min, T max) {
+  std::string message =
+      "--" + name + ": '" + token + "' is not a number in [";
+  AppendNumber(&message, min);
+  message += ", ";
+  AppendNumber(&message, max);
+  return Status::InvalidArgument(message + "]");
+}
+
 /// Parses the comma-separated list flag `--name` into values in [min, max].
 /// Every non-empty token must parse whole (ParseInt64 for integer T,
 /// ParseDouble for floating T) and lie in the range; empty tokens are
@@ -126,16 +147,37 @@ StatusOr<std::vector<T>> ParseListFlag(const FlagSet& flags,
     // The range test runs before any narrowing, and NaN fails it.
     if (!parsed || !(value >= static_cast<Parsed>(min) &&
                      value <= static_cast<Parsed>(max))) {
-      std::string message =
-          "--" + name + ": '" + token + "' is not a number in [";
-      AppendNumber(&message, min);
-      message += ", ";
-      AppendNumber(&message, max);
-      return Status::InvalidArgument(message + "]");
+      return FlagValueError(name, token, min, max);
     }
     values.push_back(static_cast<T>(value));
   }
   return values;
+}
+
+/// The documented range of one integer flag.
+struct ScalarFlagRange {
+  const char* name;
+  int64_t min;
+  int64_t max;
+};
+
+/// Checks the integer flags `ranges` names, in order, against their
+/// ranges (FlagSet::Parse already rejected values that are not integers);
+/// the first one outside is a FlagValueError. A later range may use a
+/// flag checked before it as a bound (a hot set no larger than the
+/// resource count). The benches turn the error into exit 2 before a
+/// negative or huge value sizes a workload or an event ring, trips a
+/// CHECK, or wraps in a narrowing cast.
+inline Status CheckScalarFlags(const FlagSet& flags,
+                               std::initializer_list<ScalarFlagRange> ranges) {
+  for (const ScalarFlagRange& range : ranges) {
+    const int64_t value = flags.GetInt(range.name);
+    if (value < range.min || value > range.max) {
+      return FlagValueError(range.name, std::to_string(value), range.min,
+                            range.max);
+    }
+  }
+  return Status::OK();
 }
 
 /// Aborts with a message on error statuses (benches have no recovery path).

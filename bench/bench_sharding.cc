@@ -153,16 +153,17 @@ int Run(int argc, const char* const* argv) {
       .AddString("shards", "1,2,4,8",
                  "comma-separated shard counts, each 1 to 1024")
       .AddString("policy", "s-edf", "per-shard scheduling policy")
-      .AddInt("resources", 1000000, "number of resources n")
-      .AddInt("chronons", 512, "epoch length K")
-      .AddInt("arrivals", 400, "CEIs arriving per chronon")
-      .AddInt("rank", 2, "EIs per CEI")
-      .AddInt("window", 16, "EI window width (chronons)")
-      .AddInt("budget", 64, "GLOBAL probe budget per chronon")
+      .AddInt("resources", 1000000, "number of resources n, 1 to 10^7")
+      .AddInt("chronons", 512, "epoch length K, 1 to 10^6")
+      .AddInt("arrivals", 400, "CEIs arriving per chronon, 0 to 10^5")
+      .AddInt("rank", 2, "EIs per CEI, 1 to 64")
+      .AddInt("window", 16, "EI window width (chronons), 1 to 10^6")
+      .AddInt("budget", 64, "GLOBAL probe budget per chronon, 0 to 10^7")
       .AddDouble("hot-prob", 0.1,
                  "probability an EI targets the hot set (drives the "
                  "cross-shard CEI fraction)")
-      .AddInt("hot-set", 64, "size of the hot resource set")
+      .AddInt("hot-set", 64,
+              "size of the hot resource set, 1 to --resources")
       .AddBool("verify", true,
                "re-run the 4-shard cell with parallel shard execution and "
                "require byte-identical streams/aggregate")
@@ -172,6 +173,18 @@ int Run(int argc, const char* const* argv) {
     return 2;
   }
 
+  if (Status st = CheckScalarFlags(
+          flags, {{"resources", 1, kMaxResources},
+                  {"chronons", 1, kMaxChronons},
+                  {"arrivals", 0, kMaxArrivals},
+                  {"rank", 1, kMaxRank},
+                  {"window", 1, kMaxChronons},
+                  {"budget", 0, kMaxResources},
+                  {"hot-set", 1, flags.GetInt("resources")}});
+      !st.ok()) {
+    std::cerr << st << "\n";
+    return 2;
+  }
   auto parsed_counts = ParseListFlag<uint32_t>(flags, "shards", 1, 1024);
   if (!parsed_counts.ok()) {
     std::cerr << parsed_counts.status() << "\n";

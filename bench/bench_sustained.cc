@@ -8,9 +8,12 @@
 // the per-chronon hot path: index maintenance, ranking, probe issuance,
 // capture/expiry. Heap churn is measured two ways: process-wide counting
 // operator new (split into ingestion vs. tick allocations — the tick must
-// be allocation-free in steady state) and the ScopedMemorySampler heap/RSS
-// deltas. Pass --json <path> to emit the measurements as a JSON document
-// (the CI perf artifact, BENCH_sustained.json).
+// be allocation-free in steady state) and the ScopedMemorySampler heap
+// delta. The memory column is the resident-set growth from the generated
+// workload (built up front, before the scheduler) to the end of the cell:
+// the scheduler's own footprint, not the workload's. Pass --json <path> to
+// emit the measurements as a JSON document (the CI perf artifact,
+// BENCH_sustained.json).
 
 #include <cstdio>
 #include <iostream>
@@ -40,7 +43,7 @@ struct SustainedRow {
   double step_alloc_bytes_per_chronon = 0.0;
   double total_allocs_per_chronon = 0.0;
   double heap_delta_bytes_per_chronon = 0.0;
-  double peak_rss_mb = 0.0;
+  double rss_growth_mb = 0.0;
   double rank_us_per_chronon = 0.0;
   int64_t live_eis = 0;
   int64_t probes_issued = 0;
@@ -68,7 +71,7 @@ void WriteJson(const std::string& path, const std::string& policy,
         .Field("total_allocs_per_chronon", row.total_allocs_per_chronon)
         .Field("heap_delta_bytes_per_chronon",
                row.heap_delta_bytes_per_chronon)
-        .Field("peak_rss_mb", row.peak_rss_mb)
+        .Field("rss_growth_mb", row.rss_growth_mb)
         .Field("rank_us_per_chronon", row.rank_us_per_chronon)
         .Field("live_eis", row.live_eis)
         .Field("probes_issued", row.probes_issued)
@@ -132,12 +135,13 @@ int Run(int argc, const char* const* argv) {
                  "comma-separated resource counts n to sweep, each 1 to "
                  "10^7")
       .AddString("policy", "s-edf", "scheduling policy")
-      .AddInt("chronons", 1200, "total chronons per cell (incl. warm-up)")
-      .AddInt("warmup", 200, "untimed warm-up chronons")
-      .AddInt("arrivals", 2000, "CEIs arriving per chronon")
-      .AddInt("rank", 2, "EIs per CEI")
-      .AddInt("window", 16, "base EI window width (chronons)")
-      .AddInt("budget", 8, "probe budget C per chronon")
+      .AddInt("chronons", 1200,
+              "total chronons per cell (incl. warm-up), 1 to 10^6")
+      .AddInt("warmup", 200, "untimed warm-up chronons, below --chronons")
+      .AddInt("arrivals", 2000, "CEIs arriving per chronon, 0 to 10^5")
+      .AddInt("rank", 2, "EIs per CEI, 1 to 64")
+      .AddInt("window", 16, "base EI window width (chronons), 1 to 10^6")
+      .AddInt("budget", 8, "probe budget C per chronon, 0 to 10^7")
       .AddInt("seed", 1, "workload RNG seed");
   if (Status st = flags.Parse(argc, argv); !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
@@ -145,9 +149,19 @@ int Run(int argc, const char* const* argv) {
   }
 
   auto parsed_counts =
-      ParseListFlag<int64_t>(flags, "resources", 1, 10'000'000);
+      ParseListFlag<int64_t>(flags, "resources", 1, kMaxResources);
   if (!parsed_counts.ok()) {
     std::cerr << parsed_counts.status() << "\n";
+    return 2;
+  }
+  if (Status st = CheckScalarFlags(flags, {{"chronons", 1, kMaxChronons},
+                                           {"warmup", 0, kMaxChronons},
+                                           {"arrivals", 0, kMaxArrivals},
+                                           {"rank", 1, kMaxRank},
+                                           {"window", 1, kMaxChronons},
+                                           {"budget", 0, kMaxResources}});
+      !st.ok()) {
+    std::cerr << st << "\n";
     return 2;
   }
   std::vector<int64_t> resource_counts = *std::move(parsed_counts);
@@ -161,7 +175,10 @@ int Run(int argc, const char* const* argv) {
   const Chronon window = flags.GetInt("window");
   const int64_t budget = flags.GetInt("budget");
   if (warmup >= k) {
-    std::cerr << "warmup must be < chronons\n";
+    // Otherwise no chronon is measured and every rate divides by zero.
+    std::cerr << FlagValueError("warmup", std::to_string(warmup), Chronon{0},
+                                k - 1)
+              << "\n";
     return 2;
   }
 
@@ -169,13 +186,16 @@ int Run(int argc, const char* const* argv) {
               "chronons/sec flat in n; tick allocations 0 in steady state");
 
   TableWriter table({"n", "chronons/s", "step us", "ingest us", "step allocs",
-                     "step kB", "heap B/chr", "peak RSS MB", "live EIs"});
+                     "step kB", "heap B/chr", "RSS growth MB",
+                     "live EIs"});
   std::vector<SustainedRow> rows;
   for (const int64_t n : resource_counts) {
     Rng rng(static_cast<uint64_t>(flags.GetInt("seed")) ^
             static_cast<uint64_t>(n));
     const ArrivalTrack track = GenerateArrivals(
         static_cast<uint32_t>(n), k, arrivals, rank, window, rng);
+    // Baseline after the workload is built and before the scheduler is.
+    const ScopedMemorySampler scheduler_memory;
 
     auto policy = MakePolicy(policy_name, 17);
     if (!policy.ok()) {
@@ -255,8 +275,8 @@ int Run(int argc, const char* const* argv) {
         measured;
     row.heap_delta_bytes_per_chronon =
         static_cast<double>(memory.HeapDeltaBytes()) / measured;
-    row.peak_rss_mb =
-        static_cast<double>(memory.PeakRssBytes()) / (1024.0 * 1024.0);
+    row.rss_growth_mb = static_cast<double>(scheduler_memory.RssDeltaBytes()) /
+                        (1024.0 * 1024.0);
     row.rank_us_per_chronon =
         (scheduler.stats().rank_seconds - rank_seconds_start) / measured * 1e6;
     row.live_eis = live_at_steady_state;
@@ -271,7 +291,7 @@ int Run(int argc, const char* const* argv) {
                   TableWriter::Fmt(row.step_alloc_bytes_per_chronon / 1024.0,
                                    2),
                   TableWriter::Fmt(row.heap_delta_bytes_per_chronon, 0),
-                  TableWriter::Fmt(row.peak_rss_mb, 1),
+                  TableWriter::Fmt(row.rss_growth_mb, 1),
                   TableWriter::Fmt(row.live_eis)});
   }
   table.Print(std::cout);

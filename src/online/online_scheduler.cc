@@ -35,10 +35,6 @@ OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
   ordered_ = policy != nullptr && policy->ValueStableBetweenCaptures() &&
              options_.resource_costs.empty() &&
              options_.fault_injector == nullptr;
-  if (ordered_) {
-    stepped_.assign(static_cast<size_t>(std::max<Chronon>(num_chronons, 0)),
-                    false);
-  }
   // Fault bookkeeping is pay-for-use: without an injector no health state
   // exists and the rank scan runs its gate-free instantiation.
   if (options_.fault_injector != nullptr) {
@@ -71,7 +67,6 @@ OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
       slot_state_.reserve(hints.expected_active_eis);
       index_.reserve(2 * slot_cand_.capacity());
     }
-    expiry_scratch_.reserve(hints.expected_active_eis);
   }
   if (options_.fault_injector != nullptr && hints.expected_attempts > 0) {
     attempt_log_.reserve(hints.expected_attempts);
@@ -199,9 +194,13 @@ Status OnlineScheduler::AddArrival(const Cei* cei, Chronon now) {
   if (now < 0 || now >= num_chronons_) {
     return Status::OutOfRange("arrival chronon outside the epoch");
   }
-  if (now <= last_step_) {
+  if (now != last_step_ + 1) {
     return Status::FailedPrecondition(
-        "arrivals must precede the Step for their chronon");
+        "arrivals must be for the next chronon to step");
+  }
+  if (cei_index_.Find(cei->id) != nullptr) {
+    return Status::InvalidArgument("CEI " + std::to_string(cei->id) +
+                                   " is already registered");
   }
   uint32_t state_index;
   if (!free_states_.empty()) {
@@ -281,9 +280,9 @@ Status OnlineScheduler::RemoveCei(CeiId id, Chronon now) {
   if (now < 0 || now >= num_chronons_) {
     return Status::OutOfRange("cancel chronon outside the epoch");
   }
-  if (now <= last_step_) {
+  if (now != last_step_ + 1) {
     return Status::FailedPrecondition(
-        "cancels must precede the Step for their chronon");
+        "cancels must be for the next chronon to step");
   }
   const uint32_t* index = cei_index_.Find(id);
   if (index == nullptr) {
@@ -320,52 +319,42 @@ Status OnlineScheduler::RemoveCei(CeiId id, Chronon now) {
   // alone removes the CEI from ranking as of this chronon; the per-chronon
   // event-ring entries are additionally
   // tombstoned so cancel-heavy runs compact them away (amortized O(1))
-  // instead of dragging them to their drain chronon. Tombstones are noted
-  // only where ring membership is certain — under chronon-gapped stepping
-  // a bucket in the gap may or may not have drained, and an uncredited
-  // entry merely waits for its drain's liveness filter (correctness never
-  // depends on the tombstones; see the churn-equivalence suite).
+  // instead of dragging them to their drain chronon.
   // Two passes: note every tombstone before any compaction runs. A
   // compaction's keep filter evicts ALL of this now-dead CEI's entries in
   // the bucket it rewrites — compacting after the first sibling's note
   // would leave later siblings in the same bucket noting entries already
   // gone, over-counting `dead` past the bucket's size.
-  for (uint32_t i = 0; i < state->num_eis; ++i) {
-    if (state->captured[i] || state->failed[i]) continue;
-    const ExecutionInterval& ei = state->cei->eis[i];
-    if (ei.start > last_step_ && ei.start > state->admitted_at) {
-      // Parked in its start chronon's pending bucket: pushed there because
-      // it started after admission, undrained because Activate has not
-      // reached the bucket. (Starts at or beyond the epoch end were never
-      // indexed at all.)
-      if (ei.start < num_chronons_) pending_ring_.NoteDead(ei.start);
-    } else if ((ei.start <= state->admitted_at ||
-                (contiguous_steps_ && ei.start <= last_step_)) &&
-               ei.finish > last_step_ && ei.finish < num_chronons_) {
-      // Activated (admitted on arrival, or its start bucket was provably
-      // drained) and unexpired: registered in its finish chronon's expiry
-      // bucket, which the expiry cursor has not reached.
-      expiring_ring_.NoteDead(ei.finish);
-    }
-  }
-  for (uint32_t i = 0; i < state->num_eis; ++i) {
-    if (state->captured[i] || state->failed[i]) continue;
-    const ExecutionInterval& ei = state->cei->eis[i];
-    if (ei.start > last_step_ && ei.start > state->admitted_at) {
-      // A bucket shared by several of this CEI's EIs compacts on the first
-      // call and no-ops on the rest (its dead count resets to zero).
-      if (ei.start < num_chronons_) {
-        pending_ring_.CompactIfStale(ei.start, [](const CandidateEi& cand) {
-          return !cand.state->dead && !cand.state->Complete();
-        });
+  const auto keep = [](const CandidateEi& cand) { return cand.IsLive(); };
+  for (const bool compact : {false, true}) {
+    for (uint32_t i = 0; i < state->num_eis; ++i) {
+      if (state->captured[i] || state->failed[i]) continue;
+      const ExecutionInterval& ei = state->cei->eis[i];
+      if (ei.start > last_step_ && ei.start > state->admitted_at) {
+        // Parked in its start chronon's pending bucket: pushed there
+        // because it started after admission, undrained because Activate
+        // has not reached the bucket. (Starts at or beyond the epoch end
+        // were never indexed at all.) A bucket shared by several of this
+        // CEI's EIs compacts on the first call and no-ops on the rest (its
+        // dead count resets to zero).
+        if (ei.start >= num_chronons_) continue;
+        if (compact) {
+          pending_ring_.CompactIfStale(ei.start, keep);
+        } else {
+          pending_ring_.NoteDead(ei.start);
+        }
+      } else if (ei.finish > last_step_ && ei.finish < num_chronons_) {
+        // Activated (admitted on arrival, or its start chronon was
+        // stepped) and unexpired: registered in its finish chronon's
+        // expiry bucket, which no Step has drained yet. A window closing
+        // at last_step_ is skipped: a callback of Step(last_step_) may be
+        // cancelling while that very bucket drains.
+        if (compact) {
+          expiring_ring_.CompactIfStale(ei.finish, keep);
+        } else {
+          expiring_ring_.NoteDead(ei.finish);
+        }
       }
-    } else if ((ei.start <= state->admitted_at ||
-                (contiguous_steps_ && ei.start <= last_step_)) &&
-               ei.finish > last_step_ && ei.finish < num_chronons_) {
-      expiring_ring_.CompactIfStale(ei.finish, [](const SeqCand& sc) {
-        const CeiState& s = *sc.cand.state;
-        return !s.dead && !s.Complete() && !s.captured[sc.cand.ei_index];
-      });
     }
   }
   // A cancelled CEI's slot-column entries fall to the NEXT compaction —
@@ -399,7 +388,6 @@ CeiLifecycle OnlineScheduler::LifecycleOf(CeiId id) const {
 }
 
 void OnlineScheduler::AdmitActive(const CandidateEi& cand, Chronon now) {
-  const uint64_t seq = next_seq_++;
   const ExecutionInterval& ei = cand.ei();
   // Amortized column growth, pre-reservable through
   // SchedulerSizingHints::expected_active_eis.
@@ -417,7 +405,7 @@ void OnlineScheduler::AdmitActive(const CandidateEi& cand, Chronon now) {
     IndexPush(cand, state, now);
   }
   if (ei.finish < num_chronons_) {
-    expiring_ring_.Push(ei.finish, SeqCand{seq, cand});
+    expiring_ring_.Push(ei.finish, cand);
   }
   // EIs closing at or beyond the epoch end never hit an expiry bucket; they
   // leave the list only through capture, CEI death, or the ranking pass's
@@ -433,7 +421,7 @@ void OnlineScheduler::Activate(Chronon now) {
 }
 
 void OnlineScheduler::RetireTerminalState(uint32_t index) {
-  if (!options_.compact_terminal_states || !contiguous_steps_) return;
+  if (!options_.compact_terminal_states) return;
   const CeiState& s = states_[index];
   // Last chronon at which a pending/expiry bucket may still reference the
   // state: an EI starting inside the epoch sits in its finish bucket when
@@ -452,62 +440,28 @@ void OnlineScheduler::RetireTerminalState(uint32_t index) {
   retire_ring_.Push(release, index);
 }
 
-void OnlineScheduler::RetireTerminalStateOf(const CeiState& state) {
-  if (!options_.compact_terminal_states || !contiguous_steps_) return;
-  const uint32_t* index = cei_index_.Find(state.cei->id);
-  if (index != nullptr && &states_[*index] == &state) {
-    RetireTerminalState(*index);
-  }
-}
-
 void OnlineScheduler::MarkFailed(const CandidateEi& cand) {
+  if (!cand.IsLive()) return;
   CeiState& s = *cand.state;
-  if (s.failed[cand.ei_index] || s.captured[cand.ei_index]) return;
   s.failed[cand.ei_index] = true;
   ++s.num_failed;
-  if (!s.dead && !s.Complete() && s.BeyondRepair()) {
+  if (s.BeyondRepair()) {
     s.dead = true;
     if (ordered_) state_gen_[s.index] |= 1;
     ++stats_.ceis_expired;
-    RetireTerminalStateOf(s);
+    RetireTerminalState(s.index);
     if (on_cei_expired_) on_cei_expired_(*s.cei);
   }
 }
 
-void OnlineScheduler::ProcessExpiries(Chronon from, Chronon to) {
-  if (from < 0) from = 0;
-  if (to >= num_chronons_) to = num_chronons_ - 1;
-  if (from > to) return;
-  // A CEI dying here still has slot-column entries until the compaction
-  // AFTER chronon `to` prunes them (the scan's rank pass, or the ordered
-  // path's capture sweep), so its state releases no earlier than to + 1
-  // (the end-of-step call makes this now + 1; the step-start catch-up call
-  // makes it now, whose own compaction does the pruning).
-  retire_floor_ = to + 1;
-  expiry_scratch_.clear();
-  for (Chronon t = from; t <= to; ++t) {
-    expiring_ring_.Drain(t, [this](const SeqCand& sc) {
-      expiry_scratch_.push_back(sc);  // hotpath-alloc-ok: retained capacity
-    });
-  }
-  expiry_cursor_ = std::max(expiry_cursor_, to);
-  expired_since_select_ += expiry_scratch_.size();
-  if (expiry_scratch_.empty()) return;
-  // Multi-chronon catch-up (callers stepping with chronon gaps): the legacy
-  // sweep marked these failures in flat-list order — activation order, not
-  // finish order — and CEI-death callbacks must replay identically.
-  if (from < to) {
-    // total-order: activation sequence numbers are unique per candidate —
-    // no ties.
-    std::sort(
-        expiry_scratch_.begin(), expiry_scratch_.end(),
-        [](const SeqCand& a, const SeqCand& b) { return a.seq < b.seq; });
-  }
-  for (const SeqCand& sc : expiry_scratch_) {
-    const CeiState& s = *sc.cand.state;
-    if (s.dead || s.Complete() || s.captured[sc.cand.ei_index]) continue;
-    MarkFailed(sc.cand);
-  }
+void OnlineScheduler::ProcessExpiries(Chronon now) {
+  // A CEI dying here still has slot-column entries until the next
+  // compaction prunes them (the scan's rank pass, or the ordered path's
+  // capture sweep), so its state releases no earlier than now + 1.
+  retire_floor_ = now + 1;
+  expired_since_select_ += expiring_ring_.Size(now);
+  expiring_ring_.Drain(now,
+                       [this](const CandidateEi& cand) { MarkFailed(cand); });
 }
 
 namespace {
@@ -793,7 +747,7 @@ bool OnlineScheduler::Capture(const CandidateEi& cand, Chronon now) {
   if (!s.Complete()) return false;
   if (ordered_) state_gen_[s.index] |= 1;
   ++stats_.ceis_captured;
-  RetireTerminalStateOf(s);
+  RetireTerminalState(s.index);
   if (on_cei_captured_) on_cei_captured_(*s.cei);
   return true;
 }
@@ -852,15 +806,11 @@ void OnlineScheduler::RekeyCei(uint32_t state, Chronon now) {
     if (s.captured[i] || s.failed[i]) continue;
     const ExecutionInterval& ei = s.cei->eis[i];
     // A window closing now is spent: captured now or failed after the
-    // sweep.
-    if (ei.finish <= now) continue;
-    // Indexed iff activated: admitted on arrival, or Activate reached its
-    // start chronon (every chronon up to now, unless stepping had gaps).
-    const bool activated =
-        ei.start <= s.admitted_at ||
-        (ei.start <= now &&
-         (contiguous_steps_ || stepped_[static_cast<size_t>(ei.start)]));
-    if (activated) IndexPush(CandidateEi{&s, i}, state, now);
+    // sweep. Indexed iff activated: every EI starting by now was admitted
+    // on arrival or by Activate at its start chronon.
+    if (ei.finish > now && ei.start <= now) {
+      IndexPush(CandidateEi{&s, i}, state, now);
+    }
   }
 }
 
@@ -925,17 +875,16 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
   if (now < 0 || now >= num_chronons_) {
     return Status::OutOfRange("step chronon outside the epoch");
   }
-  if (now <= last_step_) {
-    return Status::FailedPrecondition("chronons must strictly increase");
+  if (now != last_step_ + 1) {
+    return Status::FailedPrecondition(
+        "chronons must be stepped once each, in order from 0");
   }
   if (!options_.resource_costs.empty() &&
       options_.resource_costs.size() != num_resources_) {
     return Status::InvalidArgument(
         "resource_costs must have one entry per resource");
   }
-  if (now != last_step_ + 1) contiguous_steps_ = false;
   last_step_ = now;
-  if (ordered_) stepped_[static_cast<size_t>(now)] = true;
   // This chronon's attempts are the attempt log's tail from here (empty
   // without an injector).
   const size_t first_attempt = attempt_log_.size();
@@ -943,10 +892,9 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
   if (track_incidents_) UpdateIncidentState(now);
 
   Stopwatch phase;
-  // --- Index maintenance: O(events), not O(active). Close the windows the
-  // cursor has passed (covers chronon gaps; the legacy full-list Compact),
-  // then admit this chronon's activations.
-  ProcessExpiries(expiry_cursor_ + 1, now - 1);
+  // --- Index maintenance: O(events), not O(active). Admit this chronon's
+  // activations (the previous Step already closed every window that ended
+  // before `now`).
   Activate(now);
 
   // --- Server pushes: free captures, no budget consumed. ---
@@ -964,8 +912,7 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
   phase.Reset();
   // The policy sees the slot list before this chronon's rank pass prunes
   // it: its IsLive() entries are exactly the active set, in activation
-  // order (the expiry catch-up above already failed every EI whose window
-  // closed before `now`).
+  // order.
   policy_->BeginChronon(slot_cand_, now);
 
   // --- probeEIs: greedy selection of resources within the budget. One
@@ -1152,24 +1099,17 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
 
   // --- Expire: an EI closing uncaptured at `now` fails; the CEI dies once
   // too many EIs have failed for its semantics (with AND semantics, one).
-  ProcessExpiries(now, now);
+  ProcessExpiries(now);
 
   // --- Reclaim terminal CEI states whose release chronon is `now`: every
   // structure that could reference them has provably let go (the rank
   // pass above pruned their slot entries, their ring buckets have all
   // passed), so the slot can host a later arrival and the id mapping can
-  // shrink. Gated on gap-free stepping — after a gap, buckets inside the
-  // gap never drain and their entries must stay resident.
-  if (options_.compact_terminal_states && contiguous_steps_) {
-    retire_ring_.Drain(now, [this](uint32_t index) {
-      const CeiState& s = states_[index];
-      const uint32_t* found = cei_index_.Find(s.cei->id);
-      if (found != nullptr && *found == index) {
-        cei_index_.Erase(s.cei->id);
-      }
-      free_states_.push_back(index);  // hotpath-alloc-ok: retained capacity
-    });
-  }
+  // shrink. Empty unless compact_terminal_states is on.
+  retire_ring_.Drain(now, [this](uint32_t index) {
+    cei_index_.Erase(states_[index].cei->id);
+    free_states_.push_back(index);  // hotpath-alloc-ok: retained capacity
+  });
 
   if (probed) *probed = r_ids_scratch_;
   // Clear the per-step masks where they were set: probed and pushed

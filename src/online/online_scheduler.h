@@ -91,7 +91,7 @@ class IncidentDetector;
 /// otherwise shows up in the per-phase timers over the first few chronons.
 struct SchedulerSizingHints {
   /// Expected peak number of simultaneously active candidate EIs: sizes the
-  /// flat slot columns and the expiry scratch.
+  /// flat slot columns (and, on the ordered-index path, the index).
   size_t expected_active_eis = 0;
   /// Expected total probe attempts over the run: pre-reserves the attempt
   /// log (only allocated when a fault injector is attached).
@@ -130,9 +130,8 @@ struct SchedulerOptions {
   /// CEI answers kUnknown instead of the terminal state, and a RemoveCei
   /// naming an id the scheduler has forgotten counts as a cancels_noop
   /// instead of failing NotFound (through the Proxy this is unreachable —
-  /// the mailbox rejects ids it never assigned). Off by default.
-  /// Requires gap-free stepping to reclaim: after a chronon gap the
-  /// scheduler stops retiring (correct, just no longer shrinking).
+  /// the mailbox rejects ids it never assigned). A retired id may be
+  /// registered again. Off by default.
   bool compact_terminal_states = false;
 };
 
@@ -198,7 +197,7 @@ struct SchedulerStats {
   /// Cumulative wall seconds spent per Step phase (reported under the
   /// --timing flag): index maintenance (activation — on the ordered-index
   /// path this includes computing each admitted EI's value and pushing it —
-  /// expiry catch-up, pushes), candidate ranking (BeginChronon + top-C
+  /// and pushes), candidate ranking (BeginChronon + top-C
   /// selection: the scan's values and per-resource dedup, or the ordered
   /// index's pops), probe issuance (greedy walk + fault handling), and
   /// capture/expiry sweeps (on the ordered-index path also the slot-column
@@ -227,9 +226,9 @@ struct ResourceHealth {
   double ewma_failure = 0.0;
 };
 
-/// The online proxy scheduling engine. Drive it from a single chronon loop:
-/// the public API is not thread-safe, and a Step runs entirely on the
-/// calling thread.
+/// The online proxy scheduling engine. Drive it from a single chronon loop
+/// that steps every chronon in order: the public API is not thread-safe,
+/// and a Step runs entirely on the calling thread.
 class OnlineScheduler {
  public:
   /// `policy` must outlive the scheduler. `num_chronons` bounds the epoch.
@@ -241,9 +240,15 @@ class OnlineScheduler {
   OnlineScheduler& operator=(const OnlineScheduler&) = delete;
   ~OnlineScheduler();
 
-  /// Registers CEIs arriving at chronon `now`. Must be called before
-  /// Step(now); `cei` pointers must stay valid for the scheduler's lifetime.
-  /// Rejects CEIs that are empty or whose capture window already passed.
+  /// Registers a CEI arriving at chronon `now`, which must be the next
+  /// chronon to step (FailedPrecondition otherwise): between Steps that is
+  /// the last stepped chronon + 1 (0 before the first Step), and a callback
+  /// fired inside Step(t) registers for t + 1. `cei` must stay valid for
+  /// the scheduler's lifetime. Rejects an empty CEI, and a CEI whose id the
+  /// scheduler still maps (a live CEI, or any earlier one unless
+  /// compact_terminal_states retired it), with InvalidArgument. A CEI whose
+  /// windows closed too early for it ever to complete is registered dead
+  /// on arrival (on_cei_expired fires).
   Status AddArrival(const Cei* cei, Chronon now);
 
   /// Registers a whole drained ingestion batch arriving at chronon `now`,
@@ -252,8 +257,9 @@ class OnlineScheduler {
   /// SchedulerStats. Stops at the first invalid CEI.
   Status AddArrivalBatch(const std::vector<const Cei*>& batch, Chronon now);
 
-  /// Cancels a previously registered CEI before the Step for chronon `now`
-  /// runs (mid-epoch profile churn). A still-pending CEI is removed: it is
+  /// Cancels a previously registered CEI at chronon `now`, which must be the
+  /// next chronon to step, as for AddArrival (mid-epoch profile churn;
+  /// FailedPrecondition otherwise). A still-pending CEI is removed: it is
   /// never probed again, its event-ring entries are purged or tombstoned
   /// (amortized-O(1) compaction), its slot-column entries fall to the next
   /// compaction's lazy pruning (and its ordered-index entries to lazy
@@ -278,9 +284,11 @@ class OnlineScheduler {
   /// Schedule. `t` must not precede the next Step.
   Status AddPush(ResourceId resource, Chronon t);
 
-  /// Executes chronon `now` (steps must use strictly increasing chronons):
-  /// selects and issues probes, updates capture state, expires CEIs. If
-  /// `schedule` is non-null, issued probes are recorded in it.
+  /// Executes chronon `now`, which must follow the last stepped chronon
+  /// (0 first): every chronon of the epoch is stepped once, in order, as in
+  /// the paper's Algorithm 1 (FailedPrecondition otherwise). Selects and
+  /// issues probes, updates capture state, expires CEIs. If `schedule` is
+  /// non-null, issued probes are recorded in it.
   /// Returns the resources probed this chronon via `probed` if non-null.
   Status Step(Chronon now, Schedule* schedule,
               std::vector<ResourceId>* probed = nullptr);
@@ -339,12 +347,6 @@ class OnlineScheduler {
   size_t NumActiveEis() const;
 
  private:
-  // A candidate tagged with its activation sequence (expiry buckets, which
-  // drain out of activation order on chronon gaps and must restore it).
-  struct SeqCand {
-    uint64_t seq = 0;
-    CandidateEi cand;
-  };
   // A resource's best candidate surviving per-resource dedup, with its
   // policy value, cached deadline/resource (so comparisons and dedup skip
   // the EI deref), and (non-preemptive mode) started flag.
@@ -382,20 +384,20 @@ class OnlineScheduler {
   template <typename Key>
   static bool RankedBefore(const Key& a, const Key& b, bool split_started);
 
-  // Indexes `cand` as active at `now`: assigns its activation seq, appends
-  // it to the flat slot columns and its finish chronon's expiry bucket, and
-  // on the ordered path pushes it into the index.
+  // Indexes `cand` as active at `now`: appends it to the flat slot columns
+  // and its finish chronon's expiry bucket, and on the ordered path pushes
+  // it into the index.
   void AdmitActive(const CandidateEi& cand, Chronon now);
   // Activates EIs whose start chronon is `now`.
   void Activate(Chronon now);
-  // Records that `cand`'s window expired uncaptured; kills the CEI when its
-  // semantics can no longer be satisfied.
+  // Records that live `cand`'s window expired uncaptured (no-op if it is
+  // no longer live); kills the CEI when its semantics can no longer be
+  // satisfied.
   void MarkFailed(const CandidateEi& cand);
-  // Marks every still-live candidate whose window closed in [from, to]
-  // failed, in activation order (draining the expiry buckets). Called with
-  // [cursor+1, now-1] at step start (chronon-gap coverage) and [now, now]
-  // after the capture sweep (the legacy end-of-step expiry).
-  void ProcessExpiries(Chronon from, Chronon to);
+  // Marks every still-live candidate whose window closes at `now` failed,
+  // in activation order (draining its expiry bucket). Called after the
+  // capture sweep.
+  void ProcessExpiries(Chronon now);
   // compact_terminal_states: schedules states_[index] (just turned
   // terminal) for reclamation at its release chronon — the last chronon at
   // which any event-ring bucket may still hold a reference to the state
@@ -408,12 +410,8 @@ class OnlineScheduler {
   // the END of Step(release),
   // after every structure that could reach the state has let go, so slot
   // reuse by a later arrival can never resurrect a stale reference. No-op
-  // unless the option is on and stepping has been gap-free.
+  // unless the option is on.
   void RetireTerminalState(uint32_t index);
-  // Looks up the states_ index of `state` and retires it if the id -> index
-  // mapping still points at it (it may not when a direct driver re-
-  // registered the same id).
-  void RetireTerminalStateOf(const CeiState& state);
   // Copies slot `from` over slot `to` in every live column (compaction).
   void MoveSlot(size_t to, size_t from);
   // Truncates every live slot column to its first `n` entries.
@@ -529,11 +527,11 @@ class OnlineScheduler {
   // CeiId -> index into states_, maintained by AddArrival and looked up by
   // RemoveCei / LifecycleOf. Flat open addressing with backward-shift
   // deletion (util/id_map.h): inserts allocate only at high-water growth,
-  // so steady-state churn keeps the zero-allocation tick contract. Entries
-  // are never erased — terminal states stay queryable for the lifecycle
-  // audit, matching states_' own append-only growth. If the same id is
-  // registered twice (only possible when driving the scheduler directly,
-  // never through the Proxy), the latest registration wins.
+  // so steady-state churn keeps the zero-allocation tick contract. AddArrival
+  // rejects an id that is still mapped, so each entry names the one state
+  // registered under its id. Entries are erased only when
+  // compact_terminal_states reclaims their state; otherwise terminal states
+  // stay queryable for the lifecycle audit.
   FlatIdMap<uint32_t> cei_index_;
 
   // The active candidate list in activation order, split into parallel
@@ -573,19 +571,15 @@ class OnlineScheduler {
   // current iff its `gen` still matches, and a slot-column entry's CEI is
   // terminal iff the low bit is set.
   std::vector<uint32_t> state_gen_;
-  // Ordered path: stepped_[t] is true once Step(t) ran — after a chronon
-  // gap, an EI that started after its CEI's arrival was activated iff its
-  // start chronon was stepped (RekeyCei).
-  std::vector<bool> stepped_;
 
   // Backing store for every per-chronon event bucket below. Grows to the
   // high-water chunk population and is never reset — EventRing recycles
   // drained chunks through its free list, so steady state allocates
   // nothing.
   Arena arena_;
-  // expiring_ring_[t] = activated EIs whose window closes at t; drained
-  // exactly once when the expiry cursor passes t.
-  EventRing<SeqCand> expiring_ring_;
+  // expiring_ring_[t] = activated EIs whose window closes at t, in
+  // activation order; drained at the end of Step(t).
+  EventRing<CandidateEi> expiring_ring_;
   // pending_ring_[t] = EIs becoming active at chronon t.
   EventRing<CandidateEi> pending_ring_;
   // push_ring_[t] = resources whose servers push at chronon t.
@@ -598,10 +592,6 @@ class OnlineScheduler {
   std::vector<uint32_t> free_states_;
   // Floor for the next RetireTerminalState's release chronon (see above).
   Chronon retire_floor_ = 0;
-  // All expiries at chronons <= expiry_cursor_ have been processed.
-  Chronon expiry_cursor_ = -1;
-  // Next activation sequence number (see SeqCand::seq).
-  uint64_t next_seq_ = 0;
 
   // Scratch: marks resources whose content is available this step (R_ids:
   // successful probes and pushes) — these capture their active EIs.
@@ -624,7 +614,6 @@ class OnlineScheduler {
   // that entry's resource is r — so no per-chronon reset is needed, and
   // stale positions from earlier chronons fail the check.
   std::vector<uint32_t> best_at_;
-  std::vector<SeqCand> expiry_scratch_;
 
   // Per-resource failure-handling state; empty when no injector is set.
   std::vector<ResourceHealth> health_;
@@ -640,11 +629,8 @@ class OnlineScheduler {
   std::vector<uint8_t> gt_in_window_;
   std::vector<uint8_t> gt_window_detected_;
 
+  // The last stepped chronon; every chronon up to it has been stepped.
   Chronon last_step_ = -1;
-  // True while every chronon 0..last_step_ has been stepped (no gaps), in
-  // which case every pending bucket <= last_step_ has provably drained —
-  // the certainty RemoveCei's event-ring tombstoning relies on.
-  bool contiguous_steps_ = true;
   SchedulerStats stats_;
   std::function<void(const Cei&)> on_cei_captured_;
   std::function<void(const Cei&)> on_cei_expired_;

@@ -13,7 +13,9 @@
 // caller that invalidates items logically (e.g. CEI cancellation) can
 // NoteDead each one and call CompactIfStale: once half a bucket is dead it
 // is rewritten in place — stable, allocation-free, amortized O(1) per dead
-// item — so cancel-heavy runs don't drag garbage to the drain.
+// item — so cancel-heavy runs don't drag garbage to the drain. Chunks
+// return to the free list only through Drain and CompactIfStale: the
+// scheduler steps every chronon, so each bucket it fills is drained.
 //
 // Determinism: per-bucket visit order is exactly push order, independent of
 // chunk placement (and of whether any compaction triggered). Not
@@ -173,22 +175,6 @@ class EventRing {
     b.size = kept;
     b.dead = 0;
     return true;
-  }
-
-  /// Recycles a bucket's chunks without visiting the items (used for
-  /// buckets that a chronon gap made unreachable).
-  void Discard(int64_t bucket) {
-    Bucket& b = buckets_[static_cast<size_t>(bucket)];
-    Chunk* c = b.head;
-    b.head = nullptr;
-    b.tail = nullptr;
-    b.size = 0;
-    b.dead = 0;
-    while (c != nullptr) {
-      Chunk* next = c->next;
-      ReleaseChunk(c);
-      c = next;
-    }
   }
 
   /// Number of chunks ever carved from the arena (monotone; a flat curve

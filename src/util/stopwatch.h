@@ -53,6 +53,8 @@ struct MemorySample {
   int64_t heap_bytes = -1;
   /// Peak resident set size of the process (/proc/self/status VmHWM).
   int64_t peak_rss_bytes = -1;
+  /// Current resident set size of the process (/proc/self/status VmRSS).
+  int64_t rss_bytes = -1;
 };
 
 /// Samples the process's current memory counters. Not async-signal-safe and
@@ -72,7 +74,8 @@ inline MemorySample SampleMemory() {
       long long kb = 0;
       if (std::sscanf(line, "VmHWM: %lld kB", &kb) == 1) {
         sample.peak_rss_bytes = static_cast<int64_t>(kb) * 1024;
-        break;
+      } else if (std::sscanf(line, "VmRSS: %lld kB", &kb) == 1) {
+        sample.rss_bytes = static_cast<int64_t>(kb) * 1024;
       }
     }
     std::fclose(f);
@@ -111,6 +114,15 @@ class ScopedMemorySampler {
 
   /// Absolute current peak RSS (bytes); -1 when unavailable.
   int64_t PeakRssBytes() const { return SampleMemory().peak_rss_bytes; }
+
+  /// Current-RSS growth since construction/Reset (bytes); 0 when
+  /// unavailable. Unlike the high-water mark, it measures the window's own
+  /// footprint even when earlier work in the process peaked higher.
+  int64_t RssDeltaBytes() const {
+    const MemorySample now = SampleMemory();
+    if (now.rss_bytes < 0 || start_.rss_bytes < 0) return 0;
+    return now.rss_bytes - start_.rss_bytes;
+  }
 
  private:
   MemorySample start_;

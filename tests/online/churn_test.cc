@@ -761,6 +761,14 @@ TEST(ChurnSchedulerTest, LifecycleAuditCoversEveryTerminalState) {
   EXPECT_EQ(scheduler.LifecycleOf(2), CeiLifecycle::kCancelled);
   EXPECT_EQ(scheduler.LifecycleOf(3), CeiLifecycle::kPending);
   EXPECT_EQ(scheduler.LifecycleOf(42), CeiLifecycle::kUnknown);
+  // Every id stays mapped (terminal ones for this audit), so none can be
+  // registered again.
+  for (const Cei& cei : ceis) {
+    EXPECT_EQ(scheduler.AddArrival(&cei, 3).code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(scheduler.LifecycleOf(0), CeiLifecycle::kCaptured);
+  EXPECT_EQ(scheduler.stats().ceis_seen, 4);
 
   for (Chronon t = 3; t < 10; ++t) {
     ASSERT_TRUE(scheduler.Step(t, nullptr, nullptr).ok());

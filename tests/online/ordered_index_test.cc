@@ -9,9 +9,8 @@
 //
 // The workloads mix AND and k-of-n CEIs with random utilities, EIs that
 // start before and after their arrival, windows that run past the epoch,
-// zero-budget chronons, pushes, cancels (live and no-op) and CEIs
-// registered twice under one id, under contiguous and gapped stepping,
-// with terminal-state compaction on and off.
+// zero-budget chronons, pushes and cancels (live and no-op), with
+// terminal-state compaction on and off.
 
 #include <algorithm>
 #include <atomic>
@@ -113,7 +112,6 @@ std::vector<Cei> MakeCeis(Rng& rng, const Shape& shape) {
 struct Config {
   std::string policy;
   bool preemptive = true;
-  bool gapped = false;
   bool compact = false;
   int64_t budget = 1;
   // LifecycleOf of every CEI is recorded after every this-many steps.
@@ -166,19 +164,12 @@ RunLog RunScheduler(const Config& config, const Shape& shape,
   Rng rng(seed);
   Schedule schedule(shape.resources, shape.chronons);
   std::vector<bool> registered(ceis.size(), false);
-  std::vector<bool> reregistered(ceis.size(), false);
   std::vector<ResourceId> probed;
-  while (t < shape.chronons) {
+  for (; t < shape.chronons; ++t) {
     for (size_t c = 0; c < ceis.size(); ++c) {
-      if (!registered[c] && ceis[c].arrival <= t) {
+      if (ceis[c].arrival == t) {
         EXPECT_TRUE(scheduler.AddArrival(&ceis[c], t).ok());
         registered[c] = true;
-      } else if (registered[c] && !reregistered[c] && c % 11 == 0 &&
-                 ceis[c].arrival + 4 <= t) {
-        // Calling the scheduler directly, one CEI may be registered twice
-        // under its id; the latest registration wins the id.
-        EXPECT_TRUE(scheduler.AddArrival(&ceis[c], t).ok());
-        reregistered[c] = true;
       }
     }
     std::vector<CeiId> cancels;
@@ -203,8 +194,6 @@ RunLog RunScheduler(const Config& config, const Shape& shape,
       }
     }
     ++log.steps;
-    t += config.gapped ? 1 + (t % 5 == 2 ? 2 : 0) + (t % 11 == 8 ? 5 : 0)
-                       : 1;
   }
   for (ResourceId r = 0; r < shape.resources; ++r) {
     log.schedule.push_back(schedule.ProbesOf(r));
@@ -239,17 +228,17 @@ void ExpectIdentical(const RunLog& index, const RunLog& scan,
 }
 
 class OrderedIndexIdentity
-    : public ::testing::TestWithParam<
-          std::tuple<std::string, bool, bool, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, bool, bool>> {
+};
 
 TEST_P(OrderedIndexIdentity, IndexSelectsExactlyWhatTheScanSelects) {
-  const auto& [policy, preemptive, gapped, compact] = GetParam();
+  const auto& [policy, preemptive, compact] = GetParam();
   const Shape shape{40, 90, 160, 12};
   for (const int64_t budget : {1, 4, 16, 80}) {
     for (uint64_t seed = 1; seed <= 3; ++seed) {
       Rng rng(seed * 0x9E37 + static_cast<uint64_t>(budget));
       const std::vector<Cei> ceis = MakeCeis(rng, shape);
-      const Config config{policy, preemptive, gapped, compact, budget, 1};
+      const Config config{policy, preemptive, compact, budget, 1};
       const std::string label =
           "C=" + std::to_string(budget) + " seed=" + std::to_string(seed);
       const RunLog index = RunScheduler(config, shape, ceis, true, seed);
@@ -266,16 +255,15 @@ TEST_P(OrderedIndexIdentity, IndexSelectsExactlyWhatTheScanSelects) {
 INSTANTIATE_TEST_SUITE_P(
     ValueStablePolicies, OrderedIndexIdentity,
     ::testing::Combine(::testing::Values("mrsf", "w-mrsf"), ::testing::Bool(),
-                       ::testing::Bool(), ::testing::Bool()),
-    [](const ::testing::TestParamInfo<
-        std::tuple<std::string, bool, bool, bool>>& param) {
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, bool, bool>>&
+           param) {
       std::string name = std::get<0>(param.param);
       for (auto& ch : name) {
         if (ch == '-') ch = '_';
       }
       return name + (std::get<1>(param.param) ? "_P" : "_NP") +
-             (std::get<2>(param.param) ? "_gapped" : "_contiguous") +
-             (std::get<3>(param.param) ? "_compact" : "_retain");
+             (std::get<2>(param.param) ? "_compact" : "_retain");
     });
 
 // A long, dense run: ~21k pushes into a heap rebuilt whenever it holds
@@ -287,7 +275,7 @@ TEST(OrderedIndexIdentityLong, RebuildsAndRecycledStatesStayIdentical) {
   for (const bool preemptive : {true, false}) {
     Rng rng(preemptive ? 7 : 8);
     const std::vector<Cei> ceis = MakeCeis(rng, shape);
-    const Config config{"w-mrsf", preemptive, false, true, 2, 50};
+    const Config config{"w-mrsf", preemptive, true, 2, 50};
     const std::string label = preemptive ? "P" : "NP";
     const RunLog index = RunScheduler(config, shape, ceis, true, 5);
     const RunLog scan = RunScheduler(config, shape, ceis, false, 5);

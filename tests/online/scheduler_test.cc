@@ -114,25 +114,47 @@ TEST(OnlineSchedulerTest, EveryPolicyPassesScheduleAudit) {
 }
 
 TEST(OnlineSchedulerTest, ArrivalAfterStepRejected) {
-  const auto problem = MakeProblem(1, 5, 1, {{{{0, 2, 4}}}});
+  // CEI 0 wants r0 in [2, 4], CEI 1 wants it in [5, 8].
+  const auto problem =
+      MakeProblemOneCeiPerProfile(1, 10, 1, {{{0, 2, 4}}, {{0, 5, 8}}});
   SEdfPolicy policy;
-  OnlineScheduler scheduler(1, 5, BudgetVector::Uniform(1), &policy);
+  OnlineScheduler scheduler(1, 10, BudgetVector::Uniform(1), &policy);
   ASSERT_TRUE(scheduler.Step(0, nullptr).ok());
   const Cei* cei = problem.AllCeis()[0];
+  const Cei* later = problem.AllCeis()[1];
   EXPECT_EQ(scheduler.AddArrival(cei, 0).code(),
             StatusCode::kFailedPrecondition);
+  // Only the next chronon is accepted: CEI 1 registered "at 5" now would
+  // be admitted as active, and Step(1) would capture it outside [5, 8].
+  EXPECT_EQ(scheduler.AddArrival(later, 5).code(),
+            StatusCode::kFailedPrecondition);
   EXPECT_TRUE(scheduler.AddArrival(cei, 1).ok());
+  // Cancels likewise apply only at the next chronon.
+  EXPECT_EQ(scheduler.RemoveCei(cei->id, 0).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(scheduler.RemoveCei(cei->id, 5).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(scheduler.Step(1, nullptr).ok());
+  EXPECT_EQ(scheduler.stats().probes_issued, 0);
+  EXPECT_EQ(scheduler.stats().ceis_captured, 0);
+  EXPECT_EQ(scheduler.LifecycleOf(cei->id), CeiLifecycle::kPending);
 }
 
 TEST(OnlineSchedulerTest, StepsMustIncrease) {
   SEdfPolicy policy;
   OnlineScheduler scheduler(1, 5, BudgetVector::Uniform(1), &policy);
+  // Every chronon is stepped once, in order, starting at 0.
+  EXPECT_EQ(scheduler.Step(1, nullptr).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(scheduler.Step(0, nullptr).ok());
   ASSERT_TRUE(scheduler.Step(1, nullptr).ok());
   EXPECT_EQ(scheduler.Step(1, nullptr).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(scheduler.Step(0, nullptr).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(scheduler.Step(4, nullptr).ok());  // gaps are allowed
+  EXPECT_EQ(scheduler.Step(4, nullptr).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(scheduler.Step(2, nullptr).ok());
 }
 
 TEST(OnlineSchedulerTest, StepOutsideEpochRejected) {
@@ -147,7 +169,9 @@ TEST(OnlineSchedulerTest, LateArrivalIsDeadOnArrival) {
   SEdfPolicy policy;
   OnlineScheduler scheduler(2, 10, BudgetVector::Uniform(1), &policy);
   // Step past the first EI's window, then submit.
-  ASSERT_TRUE(scheduler.Step(3, nullptr).ok());
+  for (Chronon t = 0; t <= 3; ++t) {
+    ASSERT_TRUE(scheduler.Step(t, nullptr).ok());
+  }
   int expired = 0;
   scheduler.set_on_cei_expired([&](const Cei&) { ++expired; });
   ASSERT_TRUE(scheduler.AddArrival(problem.AllCeis()[0], 4).ok());

@@ -205,18 +205,6 @@ TEST(EventRingTest, VisitorMayPushDuringDrain) {
   EXPECT_EQ(rearmed[99], 2099);
 }
 
-TEST(EventRingTest, DiscardRecyclesWithoutVisiting) {
-  Arena arena;
-  EventRing<int> ring(&arena, 2);
-  for (int i = 0; i < 300; ++i) ring.Push(0, i);
-  const int64_t chunks = ring.chunks_allocated();
-  ring.Discard(0);
-  EXPECT_TRUE(ring.Empty(0));
-  // The recycled chunks satisfy the next bucket without arena growth.
-  for (int i = 0; i < 300; ++i) ring.Push(1, i);
-  EXPECT_EQ(ring.chunks_allocated(), chunks);
-}
-
 TEST(SmallBitsetTest, InlineSetTestAndProxyAssignment) {
   SmallBitset bits(10);
   EXPECT_EQ(bits.size(), 10u);
