@@ -55,11 +55,15 @@ void WriteJson(const std::string& path, const std::vector<SweepRow>& rows) {
 int Run(int argc, const char* const* argv) {
   FlagSet flags("bench_fig11_scalability: online runtime scalability sweep");
   flags.AddString("json", "", "write measurements to this JSON file")
-      .AddInt("reps", 3, "repetitions per cell")
+      .AddInt("reps", 3, "repetitions per cell, 1 to 1000")
       .AddInt("max-profiles", 2500,
               "largest profile count in the sweep (steps of 500)");
   if (Status st = flags.Parse(argc, argv); !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
+    return 2;
+  }
+  if (Status st = CheckScalarFlags(flags, {{"reps", 1, 1000}}); !st.ok()) {
+    std::cerr << st << "\n";
     return 2;
   }
 

@@ -32,7 +32,6 @@
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace webmon::bench {
@@ -46,8 +45,10 @@ struct BenchRow {
   double opt_ms = 0.0;
   double ref_ms = -1.0;  // < 0: reference not runnable on this cell
   double speedup = 0.0;
-  int64_t states = 0;  // exact only: states expanded by the optimized search
-  int64_t pruned = 0;  // exact only: subtrees cut by the bound
+  // Exact only, per solve (the mean over reps, like the times): states
+  // expanded by the optimized search and subtrees cut by its bound.
+  double states = 0.0;
+  double pruned = 0.0;
   bool match = true;
 };
 
@@ -141,13 +142,15 @@ int Run(int argc, const char* const* argv) {
                  "comma-separated auction profile counts for the local-ratio "
                  "and greedy cells, each 1 to 10^4 (40 = ablation bench "
                  "size)")
-      .AddInt("reps", 3, "repetitions per cell (fresh instance each)")
-      .AddInt("threads", 0,
-              "threads for the parallel exact cell (0 = hardware "
-              "concurrency)")
+      .AddInt("reps", 3,
+              "repetitions per cell (fresh instance each), 1 to 1000")
       .AddInt("seed", 9000, "base RNG seed");
   if (Status st = flags.Parse(argc, argv); !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
+    return 2;
+  }
+  if (Status st = CheckScalarFlags(flags, {{"reps", 1, 1000}}); !st.ok()) {
+    std::cerr << st << "\n";
     return 2;
   }
   auto parsed_counts = ParseListFlag<uint32_t>(flags, "profiles", 1, 10'000);
@@ -206,8 +209,8 @@ int Run(int argc, const char* const* argv) {
       row.opt_ms += opt_ms / reps;
       row.ref_ms = (first ? 0.0 : row.ref_ms) + ref_ms / reps;
       first = false;
-      row.states += optimized->states_expanded;
-      row.pruned += optimized->subtrees_pruned;
+      row.states += static_cast<double>(optimized->states_expanded) / reps;
+      row.pruned += static_cast<double>(optimized->subtrees_pruned) / reps;
       row.match = row.match &&
                   optimized->captured_weight == reference->captured_weight &&
                   SchedulesIdentical(optimized->schedule,
@@ -259,57 +262,9 @@ int Run(int argc, const char* const* argv) {
         return 1;
       }
       row.opt_ms += opt_watch.ElapsedMillis() / reps;
-      row.states += optimized->states_expanded;
-      row.pruned += optimized->subtrees_pruned;
+      row.states += static_cast<double>(optimized->states_expanded) / reps;
+      row.pruned += static_cast<double>(optimized->subtrees_pruned) / reps;
     }
-    rows.push_back(row);
-  }
-
-  // ---- Parallel exact search vs its own serial run. ---------------------
-  {
-    const ExactCell& cell = exact_cells[2];
-    BenchRow row;
-    row.solver = "exact-parallel";
-    ExactSolverOptions parallel_options;
-    parallel_options.num_threads =
-        static_cast<int>(flags.GetInt("threads"));
-    if (parallel_options.num_threads == 0) {
-      parallel_options.num_threads = ThreadPool::DefaultThreads();
-    }
-    row.cell = std::to_string(parallel_options.num_threads) +
-               " threads vs serial";
-    row.ceis = cell.ceis;
-    row.chronons = cell.chronons;
-    bool first = true;
-    for (int rep = 0; rep < reps; ++rep) {
-      Rng rng(seed + static_cast<uint64_t>(rep));
-      auto problem = RandomExactInstance(rng, cell.resources, cell.chronons,
-                                         cell.ceis, cell.max_rank);
-      if (!problem.ok()) {
-        std::cerr << problem.status() << "\n";
-        return 1;
-      }
-      Stopwatch par_watch;
-      auto parallel = SolveExact(*problem, parallel_options);
-      const double par_ms = par_watch.ElapsedMillis();
-      Stopwatch serial_watch;
-      auto serial = SolveExact(*problem);
-      const double serial_ms = serial_watch.ElapsedMillis();
-      if (!parallel.ok() || !serial.ok()) {
-        std::cerr << parallel.status() << " / " << serial.status() << "\n";
-        return 1;
-      }
-      row.opt_ms += par_ms / reps;
-      row.ref_ms = (first ? 0.0 : row.ref_ms) + serial_ms / reps;
-      first = false;
-      row.states += parallel->states_expanded;
-      row.pruned += parallel->subtrees_pruned;
-      row.match = row.match &&
-                  parallel->captured_weight == serial->captured_weight &&
-                  SchedulesIdentical(parallel->schedule, serial->schedule);
-    }
-    row.speedup = row.opt_ms > 0 ? row.ref_ms / row.opt_ms : 0.0;
-    all_match = all_match && row.match;
     rows.push_back(row);
   }
 
@@ -396,7 +351,8 @@ int Run(int argc, const char* const* argv) {
                   TableWriter::Fmt(row.opt_ms, 3),
                   row.ref_ms < 0 ? "-" : TableWriter::Fmt(row.ref_ms, 3),
                   row.ref_ms < 0 ? "-" : TableWriter::Fmt(row.speedup, 1),
-                  TableWriter::Fmt(row.states), TableWriter::Fmt(row.pruned),
+                  TableWriter::Fmt(row.states, 1),
+                  TableWriter::Fmt(row.pruned, 1),
                   row.match ? "OK" : "DIVERGED"});
   }
   PrintTable(table);

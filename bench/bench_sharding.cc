@@ -19,7 +19,7 @@
 //     reported row is itself the audit passing.
 //
 // With --verify (default on), the 4-shard cell runs twice — shards
-// executed serially and on a thread pool — and the two runs' serialized
+// executed serially and on parallel lanes — and the two runs' serialized
 // aggregate and per-shard event streams are compared byte-for-byte, and
 // their per-shard arrival logs event by event (ArrivalEvent::operator==;
 // the replay-identity acceptance check).

@@ -1,10 +1,8 @@
 #include "offline/exact_solver.h"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -12,7 +10,6 @@
 #include "util/bitset256.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace webmon {
 
@@ -54,28 +51,13 @@ bool NextCombination(std::vector<size_t>& idx, size_t n) {
   return false;
 }
 
-// Per-thread diagnostics, merged into ExactResult after the run.
+// Search diagnostics, copied into ExactResult after the run.
 struct SearchCounters {
   int64_t states = 0;
   int64_t pruned = 0;
   int64_t dominated = 0;
   int64_t memo_hits = 0;
-
-  void MergeFrom(const SearchCounters& o) {
-    states += o.states;
-    pruned += o.pruned;
-    dominated += o.dominated;
-    memo_hits += o.memo_hits;
-  }
 };
-
-// Lock-free running maximum for the shared incumbent.
-void AtomicMax(std::atomic<double>& target, double value) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (cur < value && !target.compare_exchange_weak(
-                            cur, value, std::memory_order_relaxed)) {
-  }
-}
 
 class Search {
  public:
@@ -113,21 +95,14 @@ class Search {
 
     ExactResult result{Schedule(problem_.num_resources(), k_)};
 
-    // Phase 1 — establish the optimal value. The parallel variant only
-    // races an order-independent max (the incumbent ends exactly at OPT no
-    // matter how subtrees interleave), so the value — and everything
-    // reconstructed from it — is identical at any thread count.
+    // Phase 1 — establish the optimal value, memoizing every expanded
+    // state's exact value.
     Stopwatch search_watch;
-    double opt = 0.0;
-    if (options_.num_threads > 1 && k_ > 0) {
-      WEBMON_ASSIGN_OR_RETURN(opt, SearchParallel());
-    } else {
-      WEBMON_ASSIGN_OR_RETURN(opt, Value(0, Bitset256()));
-    }
+    WEBMON_ASSIGN_OR_RETURN(const double opt, Value(0, Bitset256()));
     result.search_seconds = search_watch.ElapsedSeconds();
     result.captured_weight = opt;
 
-    // Phase 2 — serial canonical reconstruction against exact values.
+    // Phase 2 — canonical reconstruction against the memoized values.
     Stopwatch reconstruct_watch;
     WEBMON_RETURN_IF_ERROR(Reconstruct(opt, &result.schedule));
     result.reconstruct_seconds = reconstruct_watch.ElapsedSeconds();
@@ -144,25 +119,6 @@ class Search {
   }
 
  private:
-  using VisitedSet = std::unordered_set<Bitset256, Bitset256::Hash>;
-
-  struct ThreadState {
-    std::vector<VisitedSet> visited;  // one per chronon
-    SearchCounters counters;
-    Status status = Status::OK();
-  };
-
-  // State shared across the parallel phase's workers. Deliberately
-  // lock-free — no mutex, so there is nothing for GUARDED_BY to name: the
-  // incumbent is a monotone CAS-max (AtomicMax) and the state budget a
-  // fetch_add, both order-independent, which is exactly why the searched
-  // VALUE is byte-identical at any thread count. Everything else a worker
-  // touches is its own ThreadState.
-  struct ParallelShared {
-    std::atomic<double> incumbent{0.0};
-    std::atomic<int64_t> states{0};
-  };
-
   // True iff CEI ci is already satisfied under its capture semantics.
   bool Completed(uint32_t ci, const Bitset256& captured) const {
     return static_cast<uint32_t>(captured.CountAnd(ceis_[ci].mask)) >=
@@ -241,8 +197,7 @@ class Search {
   // superset of EIs at the same unit cost, and captured-set supersets never
   // lower the reachable weight, so the optimal VALUE is unaffected —
   // reconstruction still enumerates the full list.
-  std::vector<Candidate> FilterDominated(const std::vector<Candidate>& full,
-                                         SearchCounters& counters) const {
+  std::vector<Candidate> FilterDominated(const std::vector<Candidate>& full) {
     if (full.size() <= 1) return full;
     std::vector<Candidate> out;
     out.reserve(full.size());
@@ -254,7 +209,7 @@ class Search {
         dominated = (full[i].gain != full[j].gain) || j < i;
       }
       if (dominated) {
-        ++counters.dominated;
+        ++counters_.dominated;
       } else {
         out.push_back(full[i]);
       }
@@ -279,7 +234,7 @@ class Search {
       return Status::ResourceExhausted("exact search state budget exceeded");
     }
 
-    const auto cands = FilterDominated(Candidates(t, captured), counters_);
+    const auto cands = FilterDominated(Candidates(t, captured));
     const int64_t budget = problem_.budget().At(t);
     const size_t pick =
         std::min<size_t>(cands.size(),
@@ -309,106 +264,6 @@ class Search {
         << t;
     memo[captured] = best;
     return best;
-  }
-
-  // Phase-1 worker: prove `incumbent` >= best-from(t, captured), sharing
-  // the incumbent across threads and keeping visited sets thread-local.
-  // The prune check runs before the visited insert, so a revisit is safe:
-  // the first visit already raised the incumbent to at least this state's
-  // best, and the incumbent only grows.
-  void Explore(Chronon t, const Bitset256& captured, ParallelShared& shared,
-               ThreadState& ts) {
-    if (!ts.status.ok()) return;
-    if (t >= k_) {
-      AtomicMax(shared.incumbent, CompletedWeight(captured));
-      return;
-    }
-    if (Bound(t, captured) <=
-        shared.incumbent.load(std::memory_order_relaxed)) {
-      ++ts.counters.pruned;
-      return;
-    }
-    if (!ts.visited[static_cast<size_t>(t)].insert(captured).second) {
-      ++ts.counters.memo_hits;
-      return;
-    }
-    if (options_.max_states > 0 &&
-        shared.states.fetch_add(1, std::memory_order_relaxed) + 1 >
-            options_.max_states) {
-      ts.status = Status::ResourceExhausted("exact search state budget "
-                                            "exceeded");
-      return;
-    }
-    ++ts.counters.states;
-
-    const auto cands = FilterDominated(Candidates(t, captured), ts.counters);
-    const int64_t budget = problem_.budget().At(t);
-    const size_t pick =
-        std::min<size_t>(cands.size(),
-                         static_cast<size_t>(std::max<int64_t>(budget, 0)));
-    if (pick == 0) {
-      Explore(t + 1, captured, shared, ts);
-      return;
-    }
-    std::vector<size_t> idx(pick);
-    std::iota(idx.begin(), idx.end(), size_t{0});
-    do {
-      Bitset256 next = captured;
-      for (const size_t i : idx) next |= cands[i].gain;
-      Explore(t + 1, next, shared, ts);
-      if (!ts.status.ok()) return;
-    } while (NextCombination(idx, cands.size()));
-  }
-
-  StatusOr<double> SearchParallel() {
-    // Enumerate the root chronon's combinations serially, then fan the
-    // subtrees across the pool with a shared incumbent.
-    const Bitset256 empty;
-    const auto cands = FilterDominated(Candidates(0, empty), counters_);
-    const int64_t budget = problem_.budget().At(0);
-    const size_t pick =
-        std::min<size_t>(cands.size(),
-                         static_cast<size_t>(std::max<int64_t>(budget, 0)));
-    std::vector<Bitset256> roots;
-    if (pick == 0) {
-      roots.push_back(empty);
-    } else {
-      std::vector<size_t> idx(pick);
-      std::iota(idx.begin(), idx.end(), size_t{0});
-      do {
-        Bitset256 next;
-        for (const size_t i : idx) next |= cands[i].gain;
-        roots.push_back(next);
-      } while (NextCombination(idx, cands.size()));
-    }
-
-    ParallelShared shared;
-
-    ThreadPool pool(options_.num_threads);
-    const int lanes = pool.num_threads();
-    std::vector<ThreadState> thread_states(static_cast<size_t>(lanes));
-    for (auto& ts : thread_states) {
-      ts.visited.resize(static_cast<size_t>(k_));
-    }
-    pool.ParallelFor(lanes, [&](int lane) {
-      ThreadState& ts = thread_states[static_cast<size_t>(lane)];
-      for (size_t r = static_cast<size_t>(lane); r < roots.size();
-           r += static_cast<size_t>(lanes)) {
-        Explore(1, roots[r], shared, ts);
-        if (!ts.status.ok()) return;
-      }
-    });
-
-    // ParallelFor's return is the join barrier: every worker write
-    // happens-before these merges, which run on the driving thread alone.
-    counters_.states += shared.states.load();
-    for (const auto& ts : thread_states) {
-      if (!ts.status.ok()) return ts.status;
-      counters_.pruned += ts.counters.pruned;
-      counters_.dominated += ts.counters.dominated;
-      counters_.memo_hits += ts.counters.memo_hits;
-    }
-    return shared.incumbent.load();
   }
 
   // Replays an optimal path against exact values, writing probes into
@@ -468,7 +323,8 @@ class Search {
   Chronon k_;
   std::vector<FlatEi> eis_;
   std::vector<FlatCei> ceis_;
-  // Exact-value memo for phase 2, one table per chronon.
+  // Exact-value memo, one table per chronon: the search fills it and the
+  // reconstruction reads it.
   std::vector<std::unordered_map<Bitset256, double, Bitset256::Hash>> memo_;
   SearchCounters counters_;
 };

@@ -4,16 +4,16 @@
 // solver explores that space depth-first with:
 //  * an admissible upper bound — weight already locked in plus the total
 //    weight of still-`Alive` CEIs — pruned against a running incumbent;
-//  * per-chronon memo/visited tables keyed on the captured-EI set
+//  * per-chronon memo tables keyed on the captured-EI set
 //    (util/bitset256, lifting the old 64-EI mask ceiling);
 //  * candidate dominance — a resource whose capture gain is a subset of
-//    another's at equal cost is never enumerated;
-//  * an optional parallel phase splitting the root chronon's combinations
-//    across util/thread_pool with a shared atomic incumbent.
+//    another's at equal cost is never enumerated.
 // The returned schedule is byte-identical to the pre-optimization reference
-// (offline/reference_solvers.h) at any thread count: the search phase only
-// establishes the optimal value (an order-independent max), and a serial
-// reconstruction phase re-derives the canonical schedule. See
+// (offline/reference_solvers.h). The search skips dominated candidates and
+// pruned combinations, so its argmax is not always the reference's first
+// optimal combination; it only establishes the optimal value, and a
+// reconstruction phase re-derives the canonical schedule by replaying the
+// full candidate lists in reference order against the memoized values. See
 // docs/PERFORMANCE.md ("Offline solvers") for the bound derivation and the
 // determinism argument. It exists as the ground-truth oracle for tests: the
 // optimality of S-EDF under Proposition 1's conditions, the feasibility and
@@ -47,9 +47,7 @@ struct ExactResult {
   double weighted_completeness = 0.0;
   /// Number of DFS states expanded across both phases (diagnostics).
   int64_t states_expanded = 0;
-  /// Subtrees cut by the upper-bound-vs-incumbent prune (diagnostics; with
-  /// num_threads > 1 the split across counters varies with scheduling, the
-  /// schedule and values never do).
+  /// Subtrees cut by the upper-bound-vs-incumbent prune (diagnostics).
   int64_t subtrees_pruned = 0;
   /// Candidate resources dropped by dominance (gain-subset) filtering.
   int64_t dominated_skipped = 0;
@@ -68,9 +66,6 @@ struct ExactSolverOptions {
   int64_t max_eis = 100;
   /// Abort after this many expanded states (0 = unlimited).
   int64_t max_states = 50'000'000;
-  /// Workers for the root-split search phase (<= 1 = serial). The schedule
-  /// and all values are byte-identical at any setting.
-  int num_threads = 1;
 };
 
 /// Computes an optimal schedule. Fails with InvalidArgument when the

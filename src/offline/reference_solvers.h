@@ -22,7 +22,7 @@ namespace webmon {
 
 /// Pre-optimization exact solver: memoized DFS with no bounding and a
 /// uint64_t capture mask (hard 64-EI ceiling regardless of
-/// `options.max_eis`). Single-threaded; ignores `options.num_threads`.
+/// `options.max_eis`).
 StatusOr<ExactResult> SolveExactReference(
     const ProblemInstance& problem, const ExactSolverOptions& options = {});
 

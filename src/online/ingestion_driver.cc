@@ -98,10 +98,9 @@ StatusOr<IngestionRunResult> RunConcurrentIngestion(
   std::atomic<int64_t> events{0};
   Status tick_status = Status::OK();  // written only by the ticking lane
   Stopwatch wall;
-  // Lane 0 ticks; lanes 1..producers stream events. The pool gives every
-  // task its own lane, so all of them run concurrently.
-  ThreadPool pool(producers + 1);
-  pool.ParallelFor(producers + 1, [&](int lane) {
+  // Lane 0 ticks; lanes 1..producers stream events. Every lane has its own
+  // thread, so the ticking lane can wait for the producers' releases.
+  RunLanes(producers + 1, [&](int lane) {
     if (lane == 0) {
       for (Chronon t = 0; t < options.horizon; ++t) {
         const int64_t want = static_cast<int64_t>(producers) *

@@ -1,12 +1,12 @@
 // Concurrent-ingestion driver: the shared harness behind
 // `webmon_cli ingest` and bench_ingestion.
 //
-// Spins up N producer lanes on a ThreadPool (the repository's only thread
-// primitive) that stream randomized Submit()/Push() traffic into a ticking
-// Proxy, paced so the whole stream lands inside the epoch, then optionally
-// proves the determinism contract by replaying the recorded arrival log
-// serially and comparing every observable byte for byte
-// (docs/CONCURRENCY.md).
+// Starts N producer lanes through RunLanes (util/thread_pool.h, the
+// repository's only thread primitive) that stream randomized
+// Submit()/Push() traffic into a ticking Proxy, paced so the whole stream
+// lands inside the epoch, then optionally proves the determinism contract
+// by replaying the recorded arrival log serially and comparing every
+// observable byte for byte (docs/CONCURRENCY.md).
 
 #ifndef WEBMON_ONLINE_INGESTION_DRIVER_H_
 #define WEBMON_ONLINE_INGESTION_DRIVER_H_
@@ -36,7 +36,7 @@ struct IngestionDriverOptions {
   double cancel_prob = 0.0;
   /// Seeds the per-producer payload streams.
   uint64_t seed = 1;
-  /// Scheduler configuration (preemption, fault injector, ranking threads).
+  /// Scheduler configuration (preemption, fault injector).
   SchedulerOptions scheduler;
 };
 

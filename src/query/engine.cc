@@ -43,6 +43,9 @@ StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Create(
     QueryState state;
     state.spec = std::move(spec);
     state.resource = it->second;
+    state.slack = state.spec.within_anchor.empty()
+                      ? 0
+                      : std::min(state.spec.within_offset, horizon);
     engine->by_alias_.emplace(state.spec.alias, engine->queries_.size());
     engine->queries_.push_back(std::move(state));
   }
@@ -96,9 +99,7 @@ Status QueryEngine::FirePeriodic(Chronon now) {
     state.current_anchor = now;
     ++state.stats.triggers_fired;
     // The probe window: WITHIN <own anchor> + offset, default slack 0.
-    const Chronon slack =
-        state.spec.within_anchor.empty() ? 0 : state.spec.within_offset;
-    auto need = proxy_->Submit({{state.resource, now, now + slack}});
+    auto need = proxy_->Submit({{state.resource, now, now + state.slack}});
     if (!need.ok()) {
       // A window that no longer fits the epoch is not an error for the
       // engine; the round simply cannot be monitored.
@@ -122,10 +123,9 @@ Status QueryEngine::SubmitCrossing(size_t root,
   eis.reserve(fired.size());
   for (size_t q : fired) {
     const QueryState& dep = queries_[q];
-    const Chronon deadline = dep.spec.within_anchor.empty()
-                                 ? now
-                                 : anchor + dep.spec.within_offset;
-    eis.emplace_back(dep.resource, now, std::max(deadline, now));
+    // The anchor is never later than now, so without WITHIN (slack 0) the
+    // window is [now, now].
+    eis.emplace_back(dep.resource, now, std::max(anchor + dep.slack, now));
   }
   auto need = proxy_->Submit(eis);
   if (!need.ok()) return Status::OK();  // window beyond the epoch
@@ -163,9 +163,8 @@ Status QueryEngine::DeliverPushes(Chronon now) {
       // pushed at `now`, and a need whose window contains `now` would be
       // captured by the push itself — without any probe ever fetching the
       // lost items from the buffer.
-      const Chronon slack =
-          state.spec.within_anchor.empty() ? 0 : state.spec.within_offset;
-      auto need = proxy_->Submit({{state.resource, now + 1, now + 1 + slack}});
+      auto need =
+          proxy_->Submit({{state.resource, now + 1, now + 1 + state.slack}});
       if (need.ok()) {
         ++state.stats.fallback_pulls;
         ++state.stats.needs_submitted;
@@ -201,9 +200,7 @@ Status QueryEngine::DeliverNotifies(Chronon now) {
     state.current_anchor = now;
     // The proxy must still cross the stream: submit a capture need on the
     // notified feed with the query's WITHIN slack.
-    const Chronon slack =
-        state.spec.within_anchor.empty() ? 0 : state.spec.within_offset;
-    auto need = proxy_->Submit({{state.resource, now, now + slack}});
+    auto need = proxy_->Submit({{state.resource, now, now + state.slack}});
     if (!need.ok()) continue;  // window beyond the epoch
     ++state.stats.needs_submitted;
     need_owners_[*need] = {qi};

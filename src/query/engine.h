@@ -74,6 +74,11 @@ class QueryEngine {
   struct QueryState {
     QuerySpec spec;
     ResourceId resource = 0;
+    // Probe-window slack past the anchor: 0 without WITHIN, else the
+    // offset capped at the horizon. Proxy::Submit clamps every window to
+    // the epoch, so the cap changes no window; it keeps `chronon + slack`
+    // from overflowing on a huge offset.
+    Chronon slack = 0;
     QueryRuntimeStats stats;
     // Periodic bookkeeping.
     Chronon next_trigger = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <charconv>
 #include <sstream>
 
 namespace webmon {
@@ -111,7 +112,11 @@ StatusOr<std::vector<Token>> Tokenize(std::string_view input) {
       }
       token.kind = TokenKind::kNumber;
       token.text = std::string(input.substr(i, end - i));
-      token.value = std::stoll(token.text);
+      // A digit run parses whole; the only failure is a value past int64.
+      if (std::from_chars(input.data() + i, input.data() + end, token.value)
+              .ec != std::errc()) {
+        return error_at(i, "number out of range");
+      }
       i = end;
     } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
       size_t end = i;

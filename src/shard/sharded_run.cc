@@ -184,16 +184,18 @@ StatusOr<ShardedRunResult> RunSharded(const ShardedRunConfig& config,
   }
 
   // Shards share nothing and their inputs are fixed, so serial shard order
-  // and pool execution produce identical streams (header contract) at any
-  // pool size; the pool never spawns more threads than the machine has.
+  // and lane execution produce identical streams (header contract) at any
+  // lane count. Lane l runs shards l, l + lanes, ...; there are never more
+  // lanes than cores.
   std::vector<Status> shard_status(config.num_shards, Status::OK());
   if (config.parallel_shards && config.num_shards > 1) {
-    ThreadPool pool(std::min(static_cast<int>(config.num_shards),
-                             ThreadPool::DefaultThreads()));
-    pool.ParallelFor(static_cast<int>(config.num_shards), [&](int s) {
-      shard_status[s] =
-          RunOneShard(runtimes[s].get(), plan, static_cast<uint32_t>(s),
-                      workload);
+    const uint32_t lanes = std::min(
+        config.num_shards, static_cast<uint32_t>(DefaultThreads()));
+    RunLanes(static_cast<int>(lanes), [&](int lane) {
+      for (uint32_t s = static_cast<uint32_t>(lane); s < config.num_shards;
+           s += lanes) {
+        shard_status[s] = RunOneShard(runtimes[s].get(), plan, s, workload);
+      }
     });
   } else {
     for (uint32_t s = 0; s < config.num_shards; ++s) {

@@ -11,12 +11,13 @@
 //
 // Determinism contract: the merged result is a pure function of the
 // (config, workload) pair. Each shard's input sequence is fixed up front,
-// so shards can execute serially in shard order or concurrently on a
-// thread pool (`parallel_shards`, at most one thread per core) — no shard
-// reads another's state — and the per-shard streams, arrival logs, and the
+// so shards can execute serially in shard order or concurrently on
+// min(shards, cores) lanes (`parallel_shards`; util/thread_pool.h's
+// RunLanes, lane l running shards l, l + lanes, ...) — no shard reads
+// another's state — and the per-shard streams, arrival logs, and the
 // aggregate come out equal either way (byte-identical once serialized), at
-// any pool size. The replay-identity suite (tests/shard/sharded_run_test.cc)
-// pins this.
+// any lane count. The replay-identity suite
+// (tests/shard/sharded_run_test.cc) pins this.
 //
 // RunSharded formats nothing: the per-shard streams and arrival logs are
 // moved out of the shards as data, and a caller that persists one
@@ -60,8 +61,9 @@ struct ShardedRunConfig {
   uint64_t policy_seed = 42;
   /// Scheduler options every shard runs with.
   SchedulerOptions scheduler_options;
-  /// Run shards concurrently on a thread pool instead of serially. The
-  /// result is identical either way (see the determinism contract above).
+  /// Run shards concurrently on min(num_shards, cores) lanes instead of
+  /// serially. The result is identical either way (see the determinism
+  /// contract above).
   bool parallel_shards = false;
 };
 

@@ -9,18 +9,12 @@
 // is why locking code uses these wrappers instead — the webmon_lint rule
 // `rawmutex` enforces that choice repo-wide.
 //
-// Everything here is a zero-cost veneer: Mutex is exactly a std::mutex,
-// MutexLock is exactly a lock_guard, CondVar is exactly a
-// condition_variable. Wait() takes the Mutex (REQUIRES it) instead of a
-// unique_lock so waiting loops stay visible to the analysis:
-//
-//   MutexLock lock(mu_);
-//   while (!ready_) cv_.Wait(mu_);   // ready_ is GUARDED_BY(mu_)
+// Both are zero-cost veneers: Mutex is exactly a std::mutex and MutexLock
+// is exactly a lock_guard.
 
 #ifndef WEBMON_UTIL_MUTEX_H_
 #define WEBMON_UTIL_MUTEX_H_
 
-#include <condition_variable>
 #include <mutex>
 
 #include "util/thread_annotations.h"
@@ -45,12 +39,7 @@ class CAPABILITY("mutex") Mutex {
   /// SeqMailbox::Push, which locks before calling it.
   void AssertHeld() const ASSERT_CAPABILITY(this) {}
 
-  /// The wrapped mutex, for interop with std:: waiting primitives (CondVar
-  /// below). Does not transfer the capability.
-  std::mutex& native_handle() { return mu_; }
-
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -65,34 +54,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable over a webmon::Mutex. Wait() requires the lock and
-/// returns with it re-held, so guarded state read in the waiting loop's
-/// condition stays inside the analyzed critical section. No predicate
-/// overload on purpose: spell the `while (!condition) Wait(mu)` loop out so
-/// the condition's guarded reads are analyzed in the caller, not hidden in
-/// a lambda the analysis cannot attribute a capability to.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Atomically releases `mu`, blocks until notified, and reacquires `mu`
-  /// before returning. Spurious wakeups are possible: always wait in a
-  /// condition loop.
-  void Wait(Mutex& mu) REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    cv_.wait(lock);
-    lock.release();  // the caller still logically holds the Mutex
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace webmon

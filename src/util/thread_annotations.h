@@ -11,7 +11,7 @@
 //   void FlushLocked() REQUIRES(mu_);
 //
 // The annotated locking surface of the repo is util/mutex.h (Mutex,
-// MutexLock, CondVar); every type owning a lock declares its guarded members
+// MutexLock); every type owning a lock declares its guarded members
 // with GUARDED_BY and splits lock-requiring paths into *Locked() helpers
 // annotated REQUIRES. The `thread-safety` CMake preset compiles all of src/
 // with -Wthread-safety -Werror=thread-safety under clang; the webmon_lint

@@ -139,31 +139,6 @@ TEST(OfflineDifferentialTest, GreedyMatchesReference) {
   }
 }
 
-// The parallel search phase must not change anything observable: the
-// incumbent ends at the same optimum no matter how subtrees interleave,
-// and reconstruction is serial against exact values.
-TEST(ExactSolverParallelTest, ThreadCountInvariance) {
-  Rng rng(0x7EAD);
-  for (int trial = 0; trial < 40; ++trial) {
-    const auto problem = RandomInstance(rng, 4, 8, 6, 2, 1 + trial % 2);
-    auto serial = SolveExact(problem);
-    ASSERT_TRUE(serial.ok()) << serial.status();
-    for (const int threads : {2, 3, 8}) {
-      ExactSolverOptions options;
-      options.num_threads = threads;
-      auto parallel = SolveExact(problem, options);
-      ASSERT_TRUE(parallel.ok()) << parallel.status();
-      EXPECT_EQ(parallel->captured_weight, serial->captured_weight)
-          << "trial " << trial << " threads " << threads;
-      EXPECT_EQ(parallel->captured_ceis, serial->captured_ceis)
-          << "trial " << trial << " threads " << threads;
-      EXPECT_EQ(parallel->completeness, serial->completeness)
-          << "trial " << trial << " threads " << threads;
-      ExpectSchedulesIdentical(parallel->schedule, serial->schedule);
-    }
-  }
-}
-
 // P^[1] rank-k property: on unit-width instances whose EIs occupy globally
 // distinct (resource, chronon) slots (so probe sharing cannot widen the
 // gap between the machine model and the true optimum), the local-ratio

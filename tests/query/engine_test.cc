@@ -1,5 +1,9 @@
 #include "query/engine.h"
 
+#include <cstdint>
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "query/parser.h"
@@ -272,6 +276,41 @@ TEST(QueryEngineTest, CreateValidation) {
   EXPECT_FALSE(QueryEngine::Create(*queries, Example2Feeds(), &*world,
                                    nullptr, 100, BudgetVector::Uniform(1))
                    .ok());
+}
+
+// Needs submitted by a periodic query on the blog and a content query
+// crossing a news feed, both WITHIN T + `offset`, over 50 chronons.
+std::pair<int64_t, int64_t> NeedsWithinOffset(const std::string& offset) {
+  const EventTrace trace = BlogTrace(50);
+  auto world = FeedWorld::Create(trace, AlwaysOil());
+  EXPECT_TRUE(world.ok());
+  auto queries = ParseQueries(
+      "SELECT item AS A FROM feed(Blog) WHEN EVERY 5 AS T WITHIN T + " +
+      offset +
+      "; SELECT item AS B FROM feed(News) WHEN A CONTAINS %oil% WITHIN T + " +
+      offset);
+  EXPECT_TRUE(queries.ok()) << queries.status();
+  if (!world.ok() || !queries.ok()) return {-1, -1};
+  auto engine = QueryEngine::Create(*queries, {{"Blog", 0}, {"News", 1}},
+                                    &*world, Mrsf(), 50,
+                                    BudgetVector::Uniform(1));
+  EXPECT_TRUE(engine.ok()) << engine.status();
+  if (!engine.ok()) return {-1, -1};
+  EXPECT_TRUE((*engine)->Run().ok());
+  return {(*engine)->StatsFor("A")->needs_submitted,
+          (*engine)->StatsFor("B")->needs_submitted};
+}
+
+// The proxy clamps every window to the epoch, so a WITHIN offset past the
+// horizon acts as offset = horizon: a huge offset must neither overflow
+// `chronon + offset` nor lose rounds.
+TEST(QueryEngineTest, HugeWithinOffsetActsAsOffsetHorizon) {
+  const auto at_horizon = NeedsWithinOffset("50");
+  EXPECT_EQ(at_horizon.first, 10);  // one need per periodic round
+  EXPECT_GT(at_horizon.second, 0);
+  EXPECT_EQ(NeedsWithinOffset("1000"), at_horizon);
+  EXPECT_EQ(NeedsWithinOffset("9223372036854775800"), at_horizon);
+  EXPECT_EQ(NeedsWithinOffset("9223372036854775807"), at_horizon);
 }
 
 TEST(QueryEngineTest, StatsForUnknownAlias) {

@@ -1,5 +1,8 @@
 #include "query/lexer.h"
 
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace webmon {
@@ -62,6 +65,22 @@ TEST(LexerTest, UnexpectedCharacterRejected) {
   auto result = Tokenize("SELECT @");
   EXPECT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("offset 7"), std::string::npos);
+}
+
+TEST(LexerTest, NumberPastInt64RejectedAtItsOffset) {
+  auto largest = Tokenize("9223372036854775807");
+  ASSERT_TRUE(largest.ok()) << largest.status();
+  EXPECT_EQ((*largest)[0].value, INT64_MAX);
+
+  for (const char* input :
+       {"EVERY 9223372036854775808", "EVERY 99999999999999999999"}) {
+    auto result = Tokenize(input);
+    ASSERT_FALSE(result.ok()) << input;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("out of range at offset 6"),
+              std::string::npos)
+        << result.status();
+  }
 }
 
 TEST(LexerTest, EmptyInputYieldsOnlyEnd) {

@@ -61,6 +61,13 @@ TEST(ParserFuzzTest, DeeplyNestedAndLongInputsBounded) {
   // Very long single-token and many-query inputs parse or fail fast.
   std::string long_ident(10000, 'a');
   EXPECT_FALSE(ParseQueries("SELECT item AS " + long_ident).ok());
+  // Digit runs past int64 are syntax errors, not uncaught exceptions.
+  EXPECT_FALSE(
+      ParseQueries("SELECT price FROM auction EVERY 99999999999999999999")
+          .ok());
+  EXPECT_FALSE(ParseQueries("SELECT item AS F1 FROM feed(X) WHEN EVERY " +
+                            std::string(10000, '7'))
+                   .ok());
 
   std::string many;
   for (int i = 0; i < 500; ++i) {

@@ -1,9 +1,8 @@
 // Replay identity of the sharded tier (shard/sharded_run.h): the merged
 // run is a pure function of (config, workload) — byte-identical whether
-// the shards execute serially or on a thread pool, at every shard count,
-// every policy, and every per-shard ranking thread count — plus the
-// budget-split invariant (per chronon the shard slices sum exactly to the
-// global budget).
+// the shards execute serially or on parallel lanes, at every shard count
+// and every policy — plus the budget-split invariant (per chronon the
+// shard slices sum exactly to the global budget).
 
 #include <string>
 #include <tuple>

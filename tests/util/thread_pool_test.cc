@@ -1,12 +1,13 @@
-// ThreadPool: every index runs exactly once, results are visible after
-// ParallelFor returns, and the pool survives heavy reuse (the fork-join
-// handshake is exercised thousands of times to shake out wakeup races;
-// run it under the tsan preset for the full story).
+// RunLanes: every lane runs exactly once, lane 0 on the calling thread and
+// each other lane on a thread of its own, all lanes run at once, and their
+// writes are visible after the call returns (run it under the tsan preset
+// for the full story).
 
 #include "util/thread_pool.h"
 
 #include <atomic>
-#include <numeric>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,105 +16,83 @@ namespace webmon {
 namespace {
 
 TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-  constexpr int kTasks = 1000;
-  std::vector<std::atomic<int>> hits(kTasks);
-  pool.ParallelFor(kTasks, [&](int i) {
-    hits[static_cast<size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+  constexpr int kLanes = 16;
+  std::vector<std::atomic<int>> hits(kLanes);
+  RunLanes(kLanes, [&](int lane) {
+    hits[static_cast<size_t>(lane)].fetch_add(1, std::memory_order_relaxed);
   });
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
+  for (int i = 0; i < kLanes; ++i) {
+    EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "lane " << i;
   }
 }
 
 TEST(ThreadPoolTest, WritesAreVisibleAfterReturn) {
-  ThreadPool pool(8);
-  constexpr int kTasks = 512;
-  std::vector<int> out(kTasks, 0);
-  // Each task owns its slot — the scheduler's sharding contract.
-  pool.ParallelFor(kTasks, [&](int i) { out[static_cast<size_t>(i)] = i * i; });
-  for (int i = 0; i < kTasks; ++i) {
-    ASSERT_EQ(out[static_cast<size_t>(i)], i * i);
+  constexpr int kLanes = 8;
+  constexpr size_t kSlots = 512;
+  std::vector<int> out(kSlots, 0);
+  // Lane l owns slots l, l + kLanes, ... — RunSharded's striding contract.
+  RunLanes(kLanes, [&](int lane) {
+    for (size_t i = static_cast<size_t>(lane); i < kSlots; i += kLanes) {
+      out[i] = static_cast<int>(i * i);
+    }
+  });
+  for (size_t i = 0; i < kSlots; ++i) {
+    ASSERT_EQ(out[i], static_cast<int>(i * i));
   }
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.num_threads(), 1);
-  int sum = 0;
-  // No workers: tasks run on the calling thread, in order.
-  std::vector<int> order;
-  pool.ParallelFor(5, [&](int i) {
-    sum += i;
-    order.push_back(i);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  int runs = 0;
+  RunLanes(1, [&](int lane) {
+    EXPECT_EQ(lane, 0);
+    ran_on = std::this_thread::get_id();
+    ++runs;
   });
-  EXPECT_EQ(sum, 10);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(ran_on, caller);
 }
 
-TEST(ThreadPoolTest, SubOneThreadCountsClampToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1);
-  ThreadPool negative(-3);
-  EXPECT_EQ(negative.num_threads(), 1);
+// The ingestion driver's ticking lane spins until every producer lane has
+// released its events, so RunLanes must run all lanes at once: here each
+// lane waits until every lane has arrived. A helper that ran lanes one
+// after another, or on fewer threads than lanes, would leave the first
+// lane waiting alone; the wait is bounded so that fails instead of hangs.
+// Lane 0 runs on the calling thread.
+TEST(ThreadPoolTest, AllLanesRunAtOnce) {
+  constexpr int kLanes = 8;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id lane0_ran_on;
+  std::atomic<int> arrived{0};
+  std::vector<int> met_everyone(kLanes, 0);
+  RunLanes(kLanes, [&](int lane) {
+    if (lane == 0) lane0_ran_on = std::this_thread::get_id();
+    arrived.fetch_add(1, std::memory_order_acq_rel);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (arrived.load(std::memory_order_acquire) < kLanes &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    met_everyone[static_cast<size_t>(lane)] =
+        arrived.load(std::memory_order_acquire) == kLanes ? 1 : 0;
+  });
+  EXPECT_EQ(lane0_ran_on, caller);
+  for (int lane = 0; lane < kLanes; ++lane) {
+    EXPECT_EQ(met_everyone[static_cast<size_t>(lane)], 1) << "lane " << lane;
+  }
 }
 
 TEST(ThreadPoolTest, ZeroTasksIsANoOp) {
-  ThreadPool pool(4);
   bool ran = false;
-  pool.ParallelFor(0, [&](int) { ran = true; });
-  pool.ParallelFor(-7, [&](int) { ran = true; });
+  RunLanes(0, [&](int) { ran = true; });
+  RunLanes(-7, [&](int) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
-TEST(ThreadPoolTest, SurvivesHeavyReuse) {
-  // Hammer the wakeup/epoch handshake with thousands of small jobs.
-  ThreadPool pool(4);
-  std::atomic<int64_t> total{0};
-  int64_t expected = 0;
-  for (int round = 0; round < 4000; ++round) {
-    const int tasks = 1 + round % 7;
-    for (int i = 0; i < tasks; ++i) expected += i;
-    pool.ParallelFor(tasks, [&](int i) {
-      total.fetch_add(i, std::memory_order_relaxed);
-    });
-  }
-  EXPECT_EQ(total.load(), expected);
-}
-
-TEST(ThreadPoolTest, MoreTasksThanThreadsAndViceVersa) {
-  ThreadPool pool(6);
-  for (int tasks : {1, 2, 5, 6, 7, 64}) {
-    std::atomic<int> count{0};
-    pool.ParallelFor(tasks, [&](int) {
-      count.fetch_add(1, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(count.load(), tasks);
-  }
-}
-
 TEST(ThreadPoolTest, DefaultThreadsIsPositive) {
-  EXPECT_GE(ThreadPool::DefaultThreads(), 1);
-}
-
-// Late-wakeup regression: with more workers than tasks, the calling thread
-// and a few workers finish each job before the rest wake up, so most
-// wakeups land after ParallelFor retired the job — and, back to back, often
-// after the next job reset the task counter. A worker that adopted the
-// retired (null) job then claimed a fresh index and called through a null
-// function. The loop is sized so the old pool crashed on most runs.
-TEST(ThreadPoolStressTest, BackToBackSmallJobsOnAWidePool) {
-  ThreadPool pool(8);
-  constexpr int kJobs = 1000000;
-  constexpr int kTasks = 4;
-  std::atomic<int64_t> runs{0};
-  for (int job = 0; job < kJobs; ++job) {
-    pool.ParallelFor(kTasks, [&](int) {
-      runs.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  EXPECT_EQ(runs.load(), int64_t{kJobs} * kTasks);
+  EXPECT_GE(DefaultThreads(), 1);
 }
 
 }  // namespace

@@ -15,14 +15,14 @@ Rules:
              chronon clock, and wall-clock waits make runs timing-dependent
              and fault injection non-reproducible.
   thread     No raw std::thread/std::jthread outside src/util/thread_pool.*:
-             all parallelism goes through ThreadPool so the determinism
-             contract (schedules byte-identical at any thread count) has a
-             single enforcement point. Tests may spawn threads to exercise
+             all parallelism goes through RunLanes so the determinism
+             contract (parallel outputs byte-identical to serial ones) has
+             a single enforcement point. Tests may spawn threads to exercise
              concurrency primitives directly.
   rawmutex   No std::mutex/std::condition_variable in files that do not
              include util/thread_annotations.h (directly or via
              util/mutex.h): locking goes through the annotated
-             webmon::Mutex/MutexLock/CondVar wrappers so clang
+             webmon::Mutex/MutexLock wrappers so clang
              -Wthread-safety (the `thread-safety` preset) sees every
              acquisition — a raw std::mutex is invisible to the analysis
              and silently exempts its file from the lock-discipline checks.
@@ -255,8 +255,8 @@ def check_thread(rel_path, lines):
     for i, line in enumerate(lines):
         if RAW_THREAD.search(strip_comment(line)):
             yield i + 1, ("raw std::thread outside util/thread_pool; use "
-                          "ThreadPool (keeps schedules deterministic at any "
-                          "thread count)")
+                          "RunLanes (keeps parallel outputs equal to serial "
+                          "ones)")
 
 
 def check_rawmutex(rel_path, lines):
@@ -268,7 +268,7 @@ def check_rawmutex(rel_path, lines):
         if RAW_MUTEX.search(strip_comment(line)) and not includes_annotations:
             yield i + 1, ("raw std::mutex/std::condition_variable without "
                           "util/thread_annotations.h; use the annotated "
-                          "webmon::Mutex/CondVar wrappers (util/mutex.h) so "
+                          "webmon::Mutex/MutexLock wrappers (util/mutex.h) so "
                           "-Wthread-safety sees the acquisition")
 
 

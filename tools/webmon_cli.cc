@@ -47,7 +47,6 @@
 #include "util/flags.h"
 #include "util/string_util.h"
 #include "util/table_writer.h"
-#include "util/thread_pool.h"
 
 namespace webmon {
 namespace {
@@ -73,10 +72,9 @@ constexpr int64_t kMaxArrivals = 100'000;
 // maximum still allows 6.4 * 10^12 EIs, all built before the first chronon.
 constexpr int64_t kMaxShardWorkloadEis = 10'000'000;
 
-// Largest accepted worker count for `offline --threads` and `ingest
-// --producer-threads`: each is a thread the pool starts, so an unchecked
-// count asks the OS for that many threads (and a count past 2^31 is
-// narrowed to a different one).
+// Largest accepted `ingest --producer-threads`: each producer is a thread
+// started for the session, so an unchecked count asks the OS for that many
+// threads (and a count past 2^31 is narrowed to a different one).
 constexpr int64_t kMaxThreads = 64;
 
 // The documented range of one integer flag.
@@ -632,14 +630,10 @@ int OfflineCommand(int argc, const char* const* argv) {
                  "comma-separated solvers: exact|local-ratio|greedy")
       .AddBool("transform", false,
                "apply the Proposition 5 P^[1] transform before local ratio")
-      .AddInt("threads", 1,
-              "exact search threads, 0 to 64 (0 = hardware concurrency); "
-              "results are identical at any thread count")
       .AddInt("max-states", 50'000'000, "exact search state budget")
       .AddBool("timing", false,
                "print search counters and per-phase timers");
-  if (Status st = ParseFlags(flags, argc, argv, {{"threads", 0, kMaxThreads}});
-      !st.ok()) {
+  if (Status st = ParseFlags(flags, argc, argv); !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
@@ -694,9 +688,6 @@ int OfflineCommand(int argc, const char* const* argv) {
     if (name == "exact") {
       ExactSolverOptions options;
       options.max_states = flags.GetInt("max-states");
-      const int threads = static_cast<int>(flags.GetInt("threads"));
-      options.num_threads =
-          threads == 0 ? ThreadPool::DefaultThreads() : threads;
       auto result = SolveExact(problem, options);
       if (!result.ok()) {
         std::cerr << "exact: " << result.status() << "\n";
@@ -914,7 +905,8 @@ int ShardCommand(int argc, const char* const* argv) {
                  "fraction of EIs drawn from a 64-resource hot set (drives "
                  "cross-shard CEIs)")
       .AddString("policy", "s-edf", "per-shard scheduling policy")
-      .AddBool("parallel", false, "execute the shards on a thread pool")
+      .AddBool("parallel", false,
+               "run the shards concurrently, at most one thread per core")
       .AddBool("verify-replay", true,
                "run both serial and parallel shard execution and require "
                "byte-identical streams and aggregate")
