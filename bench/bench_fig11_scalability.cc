@@ -57,12 +57,15 @@ int Run(int argc, const char* const* argv) {
   flags.AddString("json", "", "write measurements to this JSON file")
       .AddInt("reps", 3, "repetitions per cell, 1 to 1000")
       .AddInt("max-profiles", 2500,
-              "largest profile count in the sweep (steps of 500)");
+              "largest profile count in the sweep (steps of 500), 500 to "
+              "10^5");
   if (Status st = flags.Parse(argc, argv); !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
-  if (Status st = CheckScalarFlags(flags, {{"reps", 1, 1000}}); !st.ok()) {
+  if (Status st = CheckScalarFlags(
+          flags, {{"reps", 1, 1000}, {"max-profiles", 500, 100'000}});
+      !st.ok()) {
     std::cerr << st << "\n";
     return 2;
   }

@@ -19,6 +19,12 @@ OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
       budget_(std::move(budget)),
       policy_(policy),
       options_(options),
+      // The ordered index needs values that only captures move, one budget
+      // unit per probe (so C distinct resources is the whole selection), and
+      // probes that always succeed (so every selected resource is captured).
+      ordered_(policy != nullptr && policy->ValueStableBetweenCaptures() &&
+               options_.resource_costs.empty() &&
+               options_.fault_injector == nullptr),
       expiring_ring_(&arena_,
                      static_cast<size_t>(std::max<Chronon>(num_chronons, 0))),
       pending_ring_(&arena_,
@@ -27,14 +33,9 @@ OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
                  static_cast<size_t>(std::max<Chronon>(num_chronons, 0))),
       retire_ring_(&arena_,
                    static_cast<size_t>(std::max<Chronon>(num_chronons, 0))),
+      slots_(&arena_, ordered_ ? kSlotBuckets : 0),
       probed_now_(num_resources, 0),
       attempted_now_(num_resources, 0) {
-  // The ordered index needs values that only captures move, one budget
-  // unit per probe (so C distinct resources is the whole selection), and
-  // probes that always succeed (so every selected resource is captured).
-  ordered_ = policy != nullptr && policy->ValueStableBetweenCaptures() &&
-             options_.resource_costs.empty() &&
-             options_.fault_injector == nullptr;
   // Fault bookkeeping is pay-for-use: without an injector no health state
   // exists and the rank scan runs its gate-free instantiation.
   if (options_.fault_injector != nullptr) {
@@ -60,12 +61,12 @@ OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
   // chronons (visible in the per-phase timers).
   const SchedulerSizingHints& hints = options_.sizing;
   if (hints.expected_active_eis > 0) {
-    slot_cand_.reserve(hints.expected_active_eis);
-    slot_resource_.reserve(hints.expected_active_eis);
-    slot_finish_.reserve(hints.expected_active_eis);
     if (ordered_) {
-      slot_state_.reserve(hints.expected_active_eis);
-      index_.reserve(2 * slot_cand_.capacity());
+      index_.reserve(2 * hints.expected_active_eis);
+    } else {
+      slot_cand_.reserve(hints.expected_active_eis);
+      slot_resource_.reserve(hints.expected_active_eis);
+      slot_finish_.reserve(hints.expected_active_eis);
     }
   }
   if (options_.fault_injector != nullptr && hints.expected_attempts > 0) {
@@ -210,13 +211,19 @@ Status OnlineScheduler::AddArrival(const Cei* cei, Chronon now) {
     state_index = free_states_.back();
     free_states_.pop_back();
     states_[state_index] = CeiState(cei);
-    // Only terminal states are reclaimed, so the word is odd: the new
-    // occupant starts even, above every generation its predecessor had.
-    if (ordered_) ++state_gen_[state_index];
+    if (ordered_) {
+      // Only terminal states are reclaimed, so the word is odd: the new
+      // occupant starts even, above every generation its predecessor had.
+      ++state_gen_[state_index];
+      ++state_occupant_[state_index];
+    }
   } else {
     states_.emplace_back(cei);
     state_index = static_cast<uint32_t>(states_.size() - 1);
-    if (ordered_) state_gen_.push_back(0);
+    if (ordered_) {
+      state_gen_.push_back(0);
+      state_occupant_.push_back(0);
+    }
   }
   CeiState* state = &states_[state_index];
   state->index = state_index;
@@ -315,9 +322,9 @@ Status OnlineScheduler::RemoveCei(CeiId id, Chronon now) {
 
   // Incrementally unwind the candidate index. The slot columns, top-C
   // boards, and the policy's BeginChronon view all screen on IsLive() /
-  // !dead, and the ordered index on the generation word, so the dead flag
-  // alone removes the CEI from ranking as of this chronon; the per-chronon
-  // event-ring entries are additionally
+  // !dead, and the ordered index and slot buckets on the generation word,
+  // so the dead flag alone removes the CEI from ranking and capture as of
+  // this chronon; the per-chronon event-ring entries are additionally
   // tombstoned so cancel-heavy runs compact them away (amortized O(1))
   // instead of dragging them to their drain chronon.
   // Two passes: note every tombstone before any compaction runs. A
@@ -358,9 +365,8 @@ Status OnlineScheduler::RemoveCei(CeiId id, Chronon now) {
     }
   }
   // A cancelled CEI's slot-column entries fall to the NEXT compaction —
-  // the rank pass or ordered capture sweep Step(now) runs — so the state
-  // is releasable once every ring
-  // bucket that still mentions it has passed (RetireTerminalState's
+  // the rank pass Step(now) runs — so the state is releasable once every
+  // ring bucket that still mentions it has passed (RetireTerminalState's
   // release formula; the tombstone compaction above may already have
   // evicted some, which only makes the lingering references fewer).
   retire_floor_ = now;
@@ -389,28 +395,35 @@ CeiLifecycle OnlineScheduler::LifecycleOf(CeiId id) const {
 
 void OnlineScheduler::AdmitActive(const CandidateEi& cand, Chronon now) {
   const ExecutionInterval& ei = cand.ei();
-  // Amortized column growth, pre-reservable through
-  // SchedulerSizingHints::expected_active_eis.
-  slot_cand_.push_back(cand);         // hotpath-alloc-ok: amortized growth
-  slot_resource_.push_back(ei.resource);  // hotpath-alloc-ok: amortized
-  slot_finish_.push_back(ei.finish);  // hotpath-alloc-ok: amortized growth
   if (ordered_) {
     const uint32_t state = cand.state->index;
-    slot_state_.push_back(state);     // hotpath-alloc-ok: amortized growth
-    // The slot columns hold every current index entry's EI, so twice their
-    // capacity leaves a rebuild at least half the heap free.
-    if (index_.capacity() < 2 * slot_cand_.capacity()) {
-      index_.reserve(2 * slot_cand_.capacity());
+    // hotpath-alloc-ok: retained capacity
+    slot_staged_.push_back(SlotEntry{next_seq_++, ei.finish, state,
+                                     state_occupant_[state], ei.resource,
+                                     cand.ei_index});
+    ++slot_entries_;
+    slot_credit_ += 2;  // what SweepSlots may spend on this EI
+    // The slot entries hold every current index entry's EI, so a heap of
+    // twice their number leaves a rebuild at least half of it free. The
+    // capacity doubles ahead of them (pre-reservable through
+    // SchedulerSizingHints::expected_active_eis).
+    if (index_.capacity() < 2 * slot_entries_) {
+      index_.reserve(4 * slot_entries_);
     }
     IndexPush(cand, state, now);
+  } else {
+    // Amortized column growth, pre-reservable through
+    // SchedulerSizingHints::expected_active_eis.
+    slot_cand_.push_back(cand);         // hotpath-alloc-ok: amortized growth
+    slot_resource_.push_back(ei.resource);  // hotpath-alloc-ok: amortized
+    slot_finish_.push_back(ei.finish);  // hotpath-alloc-ok: amortized growth
   }
   if (ei.finish < num_chronons_) {
     expiring_ring_.Push(ei.finish, cand);
   }
   // EIs closing at or beyond the epoch end never hit an expiry bucket; they
-  // leave the list only through capture, CEI death, or the ranking pass's
-  // stale-entry pruning — exactly when the legacy compaction would have
-  // dropped them.
+  // leave the slot columns or buckets only through capture, CEI death, or
+  // stale-entry pruning.
 }
 
 void OnlineScheduler::Activate(Chronon now) {
@@ -455,9 +468,8 @@ void OnlineScheduler::MarkFailed(const CandidateEi& cand) {
 }
 
 void OnlineScheduler::ProcessExpiries(Chronon now) {
-  // A CEI dying here still has slot-column entries until the next
-  // compaction prunes them (the scan's rank pass, or the ordered path's
-  // capture sweep), so its state releases no earlier than now + 1.
+  // A CEI dying here still has slot-column entries until the next rank
+  // pass prunes them, so its state releases no earlier than now + 1.
   retire_floor_ = now + 1;
   expired_since_select_ += expiring_ring_.Size(now);
   expiring_ring_.Drain(now,
@@ -545,14 +557,12 @@ void OnlineScheduler::MoveSlot(size_t to, size_t from) {
   slot_cand_[to] = slot_cand_[from];
   slot_resource_[to] = slot_resource_[from];
   slot_finish_[to] = slot_finish_[from];
-  if (ordered_) slot_state_[to] = slot_state_[from];
 }
 
 void OnlineScheduler::ResizeSlots(size_t n) {
   slot_cand_.resize(n);
   slot_resource_.resize(n);
   slot_finish_.resize(n);
-  if (ordered_) slot_state_.resize(n);
 }
 
 template <bool kFaulty>
@@ -754,7 +764,7 @@ bool OnlineScheduler::Capture(const CandidateEi& cand, Chronon now) {
 
 void OnlineScheduler::IndexPush(const CandidateEi& cand, uint32_t state,
                                 Chronon now) {
-  if (index_.size() >= 2 * slot_cand_.size()) RebuildIndex(now);
+  if (index_.size() >= 2 * slot_entries_) RebuildIndex(now);
   const CeiState& s = *cand.state;
   // hotpath-alloc-ok: never grows, a rebuild leaves half the capacity free
   index_.push_back({policy_->Value(cand, now), cand.ei().finish, s.cei->id,
@@ -765,8 +775,8 @@ void OnlineScheduler::IndexPush(const CandidateEi& cand, uint32_t state,
 void OnlineScheduler::RebuildIndex(Chronon now) {
   std::erase_if(index_,
                 [&](const IndexEntry& e) { return !IndexCurrent(e, now); });
-  WEBMON_DCHECK_LT(index_.size(), index_.capacity())
-      << "more current index entries than the slot columns can hold";
+  WEBMON_DCHECK_LE(index_.size(), slot_entries_)
+      << "more current index entries than slot entries";
   for (size_t i = index_.size() / kHeapArity + 1; i-- > 0;) {
     HeapSiftDown(index_, i, IndexBefore());
   }
@@ -814,60 +824,71 @@ void OnlineScheduler::RekeyCei(uint32_t state, Chronon now) {
   }
 }
 
-void OnlineScheduler::CaptureAndCompact(Chronon now) {
-  // A CEI completing here keeps the slot entries the sweep already passed
-  // until a later compaction prunes them, so its state releases no earlier
-  // than now + 1 — the scan's floor, for the same reason.
+void OnlineScheduler::CaptureSlots(Chronon now) {
+  // The scan's floor: a CEI completing here releases its state no earlier
+  // than now + 1 on either path.
   retire_floor_ = now + 1;
-  const size_t n = slot_cand_.size();
-  // Compact once a quarter of the slots is spent, and always before states
-  // are released this chronon: a spent slot is never dereferenced unless
-  // its resource is probed, but it must not outlive its state.
-  const bool compact = 4 * spent_slots_ >= n || !retire_ring_.Empty(now);
-  // The chronon's probed and pushed resources, hashed by their low bits
-  // into a bitmap that stays in L1: most slots are rejected here instead
-  // of by a cache-missing lookup in the n-entry probed_now_ mask.
-  constexpr size_t kFilterWords = 64;
-  uint64_t filter[kFilterWords] = {};
-  const auto bit = [](ResourceId r) { return uint64_t{1} << (r & 63); };
-  const auto word = [](ResourceId r) { return (r >> 6) & (kFilterWords - 1); };
-  for (ResourceId r : r_ids_scratch_) filter[word(r)] |= bit(r);
-  for (ResourceId r : pushed_now_scratch_) filter[word(r)] |= bit(r);
-  size_t spent = 0;
-  size_t w = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t state = slot_state_[i];
-    const ResourceId r = slot_resource_[i];
-    // Both flags are evaluated without branching (a spent slot is common
-    // and unpredictable); the capture test rarely passes the filter. A
-    // window closing now uncaptured fails in the expiry pass below.
-    const bool terminal = (state_gen_[state] & 1) != 0;
-    bool slot_spent = terminal | (slot_finish_[i] <= now);
-    if ((filter[word(r)] & bit(r)) != 0 && !terminal && probed_now_[r]) {
-      // Captured now, or no longer live: spent either way.
-      const CandidateEi cand = slot_cand_[i];
-      if (cand.IsLive() && !Capture(cand, now)) RekeyCei(state, now);
-      // A slot this sweep keeps in place must read as spent in later
-      // sweeps too; nothing else reads its finish on this path.
-      slot_finish_[i] = now;
-      slot_spent = true;
-    }
-    spent += slot_spent ? 1 : 0;
-    if (compact) {
-      // Stable: a spent slot is overwritten by the next kept one.
-      MoveSlot(w, i);
-      w += slot_spent ? 0 : 1;
-    }
+  // One batch of independent appends overlaps the cache misses of cold
+  // bucket tails, which appends made one at a time on admission waited on
+  // in turn.
+  for (const SlotEntry& e : slot_staged_) {
+    slots_.Push(static_cast<int64_t>(SlotBucket(e.resource)), e);
   }
-  if (!compact) w = n;
-  // Arrivals a capture callback registered for a later chronon landed past
-  // the swept range.
-  for (size_t i = n; i < slot_cand_.size(); ++i) {
-    if (w != i) MoveSlot(w, i);
-    ++w;
+  slot_staged_.clear();
+  // Each bucket holding a probed or pushed resource, once.
+  slot_visits_.clear();
+  for (ResourceId r : r_ids_scratch_) {
+    slot_visits_.push_back(SlotBucket(r));  // hotpath-alloc-ok: retained
   }
-  spent_slots_ = compact ? 0 : spent;
-  ResizeSlots(w);
+  for (ResourceId r : pushed_now_scratch_) {
+    slot_visits_.push_back(SlotBucket(r));  // hotpath-alloc-ok: retained
+  }
+  // total-order: plain integers.
+  std::sort(slot_visits_.begin(), slot_visits_.end());
+  slot_visits_.erase(std::unique(slot_visits_.begin(), slot_visits_.end()),
+                     slot_visits_.end());
+  slot_captures_.clear();
+  for (const size_t bucket : slot_visits_) {
+    slots_.Visit(static_cast<int64_t>(bucket), [&](const SlotEntry& e) {
+      if (!probed_now_[e.resource] || !SlotHeld(e, now)) return;
+      if (CandidateEi{&states_[e.state], e.ei_index}.IsLive()) {
+        slot_captures_.push_back(e);  // hotpath-alloc-ok: retained capacity
+      }
+    });
+  }
+  // Admission order is the scan's activation order, so sibling captures (a
+  // CEI completing mid-sweep stops capturing) and the completion callbacks
+  // match the scan path's capture sweep.
+  // total-order: admission sequence numbers are unique.
+  std::sort(slot_captures_.begin(), slot_captures_.end(),
+            [](const SlotEntry& a, const SlotEntry& b) {
+              return a.seq < b.seq;
+            });
+  for (const SlotEntry& e : slot_captures_) {
+    const CandidateEi cand{&states_[e.state], e.ei_index};
+    // An earlier capture may have completed the CEI, or its callback
+    // cancelled it.
+    if (cand.IsLive() && !Capture(cand, now)) RekeyCei(e.state, now);
+  }
+  // Every entry on a probed or pushed resource is captured or spent (EIs
+  // a callback admitted for a later chronon are still staged).
+  for (const size_t bucket : slot_visits_) {
+    slot_entries_ -= slots_.Filter(
+        static_cast<int64_t>(bucket), [&](const SlotEntry& e) {
+          return !probed_now_[e.resource] && SlotHeld(e, now + 1);
+        });
+  }
+}
+
+void OnlineScheduler::SweepSlots(Chronon now) {
+  while (slot_credit_ > 0 && slot_entries_ > 0) {
+    const auto bucket = static_cast<int64_t>(slot_cursor_);
+    slot_credit_ -=
+        static_cast<int64_t>(std::max<size_t>(slots_.Size(bucket), 1));
+    slot_entries_ -= slots_.Filter(
+        bucket, [&](const SlotEntry& e) { return SlotHeld(e, now + 1); });
+    slot_cursor_ = (slot_cursor_ + 1) & (kSlotBuckets - 1);
+  }
 }
 
 Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
@@ -912,7 +933,8 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
   phase.Reset();
   // The policy sees the slot list before this chronon's rank pass prunes
   // it: its IsLive() entries are exactly the active set, in activation
-  // order.
+  // order. The ordered path keeps no slot list, so value-stable policies
+  // see an empty one.
   policy_->BeginChronon(slot_cand_, now);
 
   // --- probeEIs: greedy selection of resources within the budget. One
@@ -972,7 +994,7 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
       budget, static_cast<int64_t>(num_resources_) + 1));
   if (ordered_) {
     // No Value calls here: the index computed them on admission and
-    // re-keying. The capture sweep does this path's compaction.
+    // re-keying.
     if (budget > 0) SelectFromIndex(now, top_c);
   } else if (n > 0) {
     const bool compute_values = budget > 0;
@@ -1084,7 +1106,7 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
   // sweep. Entries with closed windows were marked failed by the expiry
   // sweep and pruned by the rank pass above, so `failed` screens them.
   if (ordered_) {
-    CaptureAndCompact(now);
+    CaptureSlots(now);
   } else if (!pushed_now_scratch_.empty() || !r_ids_scratch_.empty()) {
     // A CEI completing here keeps slot entries until Step(now + 1)'s rank
     // pass prunes them, so its state releases no earlier than now + 1.
@@ -1100,6 +1122,7 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
   // --- Expire: an EI closing uncaptured at `now` fails; the CEI dies once
   // too many EIs have failed for its semantics (with AND semantics, one).
   ProcessExpiries(now);
+  if (ordered_) SweepSlots(now);
 
   // --- Reclaim terminal CEI states whose release chronon is `now`: every
   // structure that could reference them has provably let go (the rank
@@ -1165,6 +1188,19 @@ size_t OnlineScheduler::NumCandidateCeis() const {
 
 size_t OnlineScheduler::NumActiveEis() const {
   size_t live = 0;
+  if (ordered_) {
+    // A captured EI's entry left with its bucket's capture visit, and a
+    // failed EI's window closed before the next chronon, so the held
+    // entries are exactly the live EIs.
+    const auto count = [&](const SlotEntry& e) {
+      if (SlotHeld(e, last_step_ + 1)) ++live;
+    };
+    for (size_t b = 0; b < kSlotBuckets; ++b) {
+      slots_.Visit(static_cast<int64_t>(b), count);
+    }
+    for (const SlotEntry& e : slot_staged_) count(e);
+    return live;
+  }
   for (const CandidateEi& cand : slot_cand_) {
     if (cand.IsLive()) ++live;
   }

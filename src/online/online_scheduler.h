@@ -18,26 +18,34 @@
 // activations, expiries, and pushes flow through per-chronon buckets kept as
 // flat chunked rings (EventRing) carved from one Arena — after warm-up the
 // chunk population recycles and a steady-state chronon performs zero heap
-// allocations (enforced by the counter-based regression test). The active
-// candidates live in structure-of-arrays parallel vectors in activation
-// order (the handle, plus cached resource/finish columns the ranking scan
-// reads sequentially), compacted stably in place every chronon. Ranking
-// takes one of two paths, chosen from what the scheduler can observe:
+// allocations (enforced by the counter-based regression test). Ranking and
+// capture take one of two paths, chosen from what the scheduler can
+// observe:
 //   ordered index — the policy declares ValueStableBetweenCaptures() (MRSF,
 //     W-MRSF), costs are uniform and no fault injector is attached: every
 //     activated EI sits in a lazily pruned 4-ary heap keyed by the
 //     candidate total order, re-keyed only when its CEI captures an EI, and
 //     a chronon pops until C distinct eligible resources are found
-//     (docs/PERFORMANCE.md "Ordered index for value-stable policies"). The
-//     capture sweep compacts the slot columns.
-//   scan — every other configuration: each chronon's one serial rank pass
-//     compacts the slot columns, computes every live candidate's value, and
-//     keeps one best candidate per resource (resource dedup) under a
-//     bounded top-C selection: small uniform budgets keep a C-entry board
-//     and never touch the per-resource table (which is then never even
-//     allocated); larger or varying-cost budgets use the table.
+//     (docs/PERFORMANCE.md "Ordered index for value-stable policies"). For
+//     capture, each activated EI is also a slot entry in one of a fixed
+//     number of arena-backed buckets keyed by resource hash: a chronon
+//     visits only the buckets of the resources it probed or that pushed,
+//     captures their live EIs in admission order, and drops the spent
+//     entries there; a round-robin sweep that each admitted EI pays for
+//     drops spent entries elsewhere.
+//   scan — every other configuration: the active candidates live in
+//     structure-of-arrays slot columns in activation order (the handle,
+//     plus cached resource/finish columns the scan reads sequentially).
+//     Each chronon's one serial rank pass compacts the columns stably in
+//     place, computes every live candidate's value, and keeps one best
+//     candidate per resource (resource dedup) under a bounded top-C
+//     selection: small uniform budgets keep a C-entry board and never touch
+//     the per-resource table (which is then never even allocated); larger
+//     or varying-cost budgets use the table. The capture sweep walks the
+//     columns.
 // Both paths select exactly the same probes — the documented value/
-// deadline/EI-id tie-break defines a position-independent total order.
+// deadline/EI-id tie-break defines a position-independent total order —
+// and capture in the same activation order.
 
 // When a FaultInjector is attached (SchedulerOptions::fault_injector) probes
 // can fail: a failed probe still spends budget but captures nothing. The
@@ -91,7 +99,8 @@ class IncidentDetector;
 /// otherwise shows up in the per-phase timers over the first few chronons.
 struct SchedulerSizingHints {
   /// Expected peak number of simultaneously active candidate EIs: sizes the
-  /// flat slot columns (and, on the ordered-index path, the index).
+  /// scan path's slot columns, or the ordered-index path's heap (its slot
+  /// buckets take arena chunks as they fill).
   size_t expected_active_eis = 0;
   /// Expected total probe attempts over the run: pre-reserves the attempt
   /// log (only allocated when a fault injector is attached).
@@ -200,8 +209,9 @@ struct SchedulerStats {
   /// and pushes), candidate ranking (BeginChronon + top-C
   /// selection: the scan's values and per-resource dedup, or the ordered
   /// index's pops), probe issuance (greedy walk + fault handling), and
-  /// capture/expiry sweeps (on the ordered-index path also the slot-column
-  /// compaction and the re-keying of CEIs that captured an EI).
+  /// capture/expiry sweeps (on the ordered-index path the visited slot
+  /// buckets, the round-robin sweep, and the re-keying of CEIs that
+  /// captured an EI).
   double activate_seconds = 0.0;
   double rank_seconds = 0.0;
   double probe_seconds = 0.0;
@@ -262,8 +272,9 @@ class OnlineScheduler {
   /// FailedPrecondition otherwise). A still-pending CEI is removed: it is
   /// never probed again, its event-ring entries are purged or tombstoned
   /// (amortized-O(1) compaction), its slot-column entries fall to the next
-  /// compaction's lazy pruning (and its ordered-index entries to lazy
-  /// deletion), and on_cei_cancelled fires. A CEI that
+  /// compaction's lazy pruning (on the ordered path its slot entries and
+  /// index entries are screened out and deleted lazily), and
+  /// on_cei_cancelled fires. A CEI that
   /// already completed or expired yields a deterministic no-op (the
   /// `cancels_noop` counter) — never an error, because the caller (the
   /// Proxy mailbox) cannot observe scheduler state when it accepts the
@@ -342,8 +353,8 @@ class OnlineScheduler {
   /// asserts on (docs/PERFORMANCE.md "Churn").
   size_t NumResidentStates() const { return states_.size() - free_states_.size(); }
   /// Number of currently live active candidate EIs (diagnostics; counts the
-  /// slot columns' live entries, excluding captured/failed stragglers
-  /// awaiting lazy pruning).
+  /// live slot-column entries or slot entries, excluding captured/failed
+  /// stragglers awaiting lazy pruning).
   size_t NumActiveEis() const;
 
  private:
@@ -370,6 +381,23 @@ class OnlineScheduler {
     uint32_t ei_index = 0;
     bool started = false;
   };
+  // One activated EI in the ordered path's slot buckets. The entry names a
+  // live EI while its window is open, its state is not terminal (low bit
+  // of the generation word clear), and its state slot still holds the CEI
+  // it was admitted for (`occupant`): an entry may outlive its state.
+  struct SlotEntry {
+    uint64_t seq = 0;  // admission order
+    Chronon finish = 0;
+    uint32_t state = 0;  // states_ index
+    uint32_t occupant = 0;
+    ResourceId resource = 0;
+    uint32_t ei_index = 0;
+  };
+  // The ordered path's slot entries are spread over 2^kSlotBucketBits
+  // buckets by resource hash. More buckets shorten each capture visit but
+  // spread the appends over more, colder bucket tails.
+  static constexpr uint32_t kSlotBucketBits = 10;
+  static constexpr size_t kSlotBuckets = size_t{1} << kSlotBucketBits;
   // Largest uniform budget served by the table-free bounded top-C path; a
   // C-entry scan board stops beating the per-resource table somewhere
   // beyond this.
@@ -384,9 +412,9 @@ class OnlineScheduler {
   template <typename Key>
   static bool RankedBefore(const Key& a, const Key& b, bool split_started);
 
-  // Indexes `cand` as active at `now`: appends it to the flat slot columns
-  // and its finish chronon's expiry bucket, and on the ordered path pushes
-  // it into the index.
+  // Indexes `cand` as active at `now`: appends it to its finish chronon's
+  // expiry bucket and to the slot columns, or on the ordered path to the
+  // staged slot entries and the index.
   void AdmitActive(const CandidateEi& cand, Chronon now);
   // Activates EIs whose start chronon is `now`.
   void Activate(Chronon now);
@@ -403,18 +431,18 @@ class OnlineScheduler {
   // which any event-ring bucket may still hold a reference to the state
   // (max over its EIs with start < K of: finish when finish < K, else
   // start), floored by retire_floor_ (set by the terminal site to the
-  // first chronon whose compaction — the scan's rank pass, or the ordered
-  // path's capture sweep — has provably pruned the state's slot-column
-  // entries; ordered-index entries are never dereferenced once their
-  // generation is stale, so they hold nothing). The retire ring drains at
-  // the END of Step(release),
-  // after every structure that could reach the state has let go, so slot
-  // reuse by a later arrival can never resurrect a stale reference. No-op
-  // unless the option is on.
+  // first chronon whose rank pass has provably pruned the state's
+  // slot-column entries; the ordered path keeps the same floor, though its
+  // slot entries and index entries are screened by the occupant and
+  // generation words and so hold nothing). The retire ring drains at the
+  // END of Step(release), after every structure that could reach the state
+  // has let go, so slot reuse by a later arrival can never resurrect a
+  // stale reference. No-op unless the option is on.
   void RetireTerminalState(uint32_t index);
-  // Copies slot `from` over slot `to` in every live column (compaction).
+  // Scan path: copies slot `from` over slot `to` in every column
+  // (compaction).
   void MoveSlot(size_t to, size_t from);
-  // Truncates every live slot column to its first `n` entries.
+  // Scan path: truncates every slot column to its first `n` entries.
   void ResizeSlots(size_t n);
   // The scan's fused compact-and-rank pass over the whole slot list:
   // compacts live entries in place (stable, writing only across gaps) and —
@@ -442,10 +470,10 @@ class OnlineScheduler {
 
   // --- Ordered index (ordered_ only) ---
   // Pushes live, activated `cand` of states_[state] with its current value
-  // and generation. Current entries never outnumber the slot columns, so
+  // and generation. Current entries never outnumber the slot entries, so
   // once the heap holds twice as many entries, at least half are stale and
-  // it is rebuilt in place first (RebuildIndex); its capacity is kept at
-  // twice the slot columns', so the vector never has to grow.
+  // it is rebuilt in place first (RebuildIndex); AdmitActive keeps its
+  // capacity at least twice the slot entries, so a push never grows it.
   void IndexPush(const CandidateEi& cand, uint32_t state, Chronon now);
   // The index's heap order: RankedBefore under this run's preemption mode.
   auto IndexBefore() const {
@@ -470,13 +498,26 @@ class OnlineScheduler {
   // Re-pushes every live, activated EI of states_[state] after its CEI's
   // capture count changed at `now` (the change invalidated their entries).
   void RekeyCei(uint32_t state, Chronon now);
-  // The capture sweep, which also compacts the slot columns (stably) once
-  // a quarter of them is spent, or when states are released this chronon:
-  // spent entries are those of terminal CEIs and of EIs captured (their
-  // finish is then set to the capture chronon) or closing by `now`. It
-  // reads only the columns and the generation words — CeiState is
-  // dereferenced only for slots on a probed or pushed resource.
-  void CaptureAndCompact(Chronon now);
+  // The slot bucket of resource `r` (Fibonacci hashing).
+  static size_t SlotBucket(ResourceId r) {
+    return (r * uint32_t{0x9E3779B9}) >> (32 - kSlotBucketBits);
+  }
+  // True iff slot entry `e` still names a live EI that can be captured at
+  // chronon `t` or later (see SlotEntry). Reads no CeiState.
+  bool SlotHeld(const SlotEntry& e, Chronon t) const {
+    return e.finish >= t && (state_gen_[e.state] & 1) == 0 &&
+           state_occupant_[e.state] == e.occupant;
+  }
+  // The capture sweep: appends the staged slot entries to their buckets,
+  // visits the buckets of the resources probed or pushed at `now` once
+  // each, captures their live EIs in admission order, then drops the spent
+  // entries of those buckets.
+  void CaptureSlots(Chronon now);
+  // The round-robin sweep, run after the chronon's expiries: filters whole
+  // buckets from a rotating cursor, spending two entry visits of credit per
+  // admitted EI (an empty bucket costs one), so the spent entries left
+  // outside visited buckets stay below the live ones in steady state.
+  void SweepSlots(Chronon now);
   // Captures live `cand` at `now` (its resource's content is available this
   // chronon) and completes its CEI when satisfied. Returns true iff the CEI
   // completed.
@@ -534,25 +575,17 @@ class OnlineScheduler {
   // stay queryable for the lifecycle audit.
   FlatIdMap<uint32_t> cei_index_;
 
-  // The active candidate list in activation order, split into parallel
-  // structure-of-arrays columns so the ranking scan streams exactly the
-  // bytes it needs: the handle (liveness), and the resource/finish columns
-  // that replace the state->cei->eis pointer chase for dedup, gating, and
-  // deadline tie-breaks. All columns compact together, stably: every
-  // chronon in the scan's rank pass (so between Steps they hold at most one
-  // tick's worth of stale entries), or on the ordered path in the capture
-  // sweep once a quarter of the entries is spent. On that path a captured
-  // slot's finish is the capture chronon, so every later sweep reads it
-  // as spent.
+  // Scan path: the active candidate list in activation order, split into
+  // parallel structure-of-arrays columns so the ranking scan streams
+  // exactly the bytes it needs: the handle (liveness), and the
+  // resource/finish columns that replace the state->cei->eis pointer chase
+  // for dedup, gating, and deadline tie-breaks. All columns compact
+  // together, stably, every chronon in the rank pass, so between Steps
+  // they hold at most one tick's worth of stale entries. Empty on the
+  // ordered path.
   std::vector<CandidateEi> slot_cand_;
   std::vector<ResourceId> slot_resource_;
   std::vector<Chronon> slot_finish_;
-  // Ordered path only: the slot's states_ index, so the capture sweep reads
-  // liveness from state_gen_ instead of the CeiState.
-  std::vector<uint32_t> slot_state_;
-  // Ordered path: spent slots the last non-compacting capture sweep left in
-  // place (terminal CEI, captured, or window closed).
-  size_t spent_slots_ = 0;
   // Ordered path: activated EIs whose windows closed since the last
   // selection (SelectFromIndex).
   size_t expired_since_select_ = 0;
@@ -563,14 +596,26 @@ class OnlineScheduler {
   bool ordered_ = false;
   // Ordered path: 4-ary min-heap (front = best by RankedBefore) over every
   // activated EI's entry, current or stale. Its capacity is kept at least
-  // twice the slot columns' (see IndexPush).
+  // twice the slot entries (see IndexPush).
   std::vector<IndexEntry> index_;
   // Ordered path: one generation word per states_ index. +2 on every
   // capture of one of the CEI's EIs, low bit set once the CEI is terminal,
   // +1 when the slot is reused by a later arrival — so an index entry is
-  // current iff its `gen` still matches, and a slot-column entry's CEI is
+  // current iff its `gen` still matches, and a slot entry's CEI is
   // terminal iff the low bit is set.
   std::vector<uint32_t> state_gen_;
+  // Ordered path: one occupant word per states_ index, +1 each time the
+  // slot is reused by a later arrival, so a slot entry admitted for an
+  // earlier occupant no longer matches.
+  std::vector<uint32_t> state_occupant_;
+  // Ordered path: admission sequence number of the next slot entry.
+  uint64_t next_seq_ = 0;
+  // Ordered path: slot entries held in slots_ or staged, live or spent.
+  size_t slot_entries_ = 0;
+  // Ordered path: entry visits the round-robin sweep may still spend, and
+  // the bucket it filters next.
+  int64_t slot_credit_ = 0;
+  size_t slot_cursor_ = 0;
 
   // Backing store for every per-chronon event bucket below. Grows to the
   // high-water chunk population and is never reset — EventRing recycles
@@ -588,6 +633,9 @@ class OnlineScheduler {
   // reference expires at t; drained at the end of Step(t) into free_states_
   // (compact_terminal_states only — otherwise never pushed to).
   EventRing<uint32_t> retire_ring_;
+  // Ordered path: slots_[SlotBucket(r)] holds the slot entries of EIs on
+  // resource r (among others). No buckets on the scan path.
+  EventRing<SlotEntry> slots_;
   // Recycled states_ slots awaiting reuse by AddArrival.
   std::vector<uint32_t> free_states_;
   // Floor for the next RetireTerminalState's release chronon (see above).
@@ -604,6 +652,14 @@ class OnlineScheduler {
   // reused across chronons (steady state must not allocate).
   std::vector<ResourceId> pushed_now_scratch_;
   std::vector<ResourceId> r_ids_scratch_;
+  // Ordered path: slot entries admitted since the last capture sweep,
+  // which appends them to their buckets.
+  std::vector<SlotEntry> slot_staged_;
+  // Ordered path, per-step scratch of the capture sweep: the slot buckets
+  // of the chronon's probed and pushed resources, and the live slot entries
+  // it captures.
+  std::vector<size_t> slot_visits_;
+  std::vector<SlotEntry> slot_captures_;
 
   // The chronon's selection handed to the greedy walk, in rank order. The
   // rank scan fills it (bounded mode uses it as its board, reserved in the

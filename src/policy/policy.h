@@ -51,7 +51,10 @@ class Policy {
   /// (captured, failed, or of a CEI that completed, died, or was cancelled)
   /// may still be present and must be skipped. The live entries are
   /// exactly the activated, uncaptured EIs of live CEIs whose window
-  /// contains `now`, in activation order.
+  /// contains `now`, in activation order. On its ordered-index path (a
+  /// policy that declares ValueStableBetweenCaptures(), see below) the
+  /// scheduler keeps no activation-ordered list and passes an empty one;
+  /// MRSF and W-MRSF do not override BeginChronon.
   virtual void BeginChronon(const std::vector<CandidateEi>& active,
                             Chronon now);
 

@@ -13,9 +13,11 @@
 // caller that invalidates items logically (e.g. CEI cancellation) can
 // NoteDead each one and call CompactIfStale: once half a bucket is dead it
 // is rewritten in place — stable, allocation-free, amortized O(1) per dead
-// item — so cancel-heavy runs don't drag garbage to the drain. Chunks
-// return to the free list only through Drain and CompactIfStale: the
-// scheduler steps every chronon, so each bucket it fills is drained.
+// item — so cancel-heavy runs don't drag garbage to the drain. Filter is
+// the same rewrite without the threshold, and Visit reads a bucket without
+// draining it, so a ring can also hold long-lived items in buckets keyed
+// by something other than a chronon. Chunks return to the free list
+// through Drain, Filter and CompactIfStale.
 //
 // Determinism: per-bucket visit order is exactly push order, independent of
 // chunk placement (and of whether any compaction triggered). Not
@@ -103,6 +105,16 @@ class EventRing {
     }
   }
 
+  /// Visits every item in `bucket` in push order, leaving the bucket as it
+  /// is. The visitor must not Push into this ring.
+  template <typename Fn>
+  void Visit(int64_t bucket, Fn&& fn) const {
+    for (const Chunk* c = buckets_[static_cast<size_t>(bucket)].head;
+         c != nullptr; c = c->next) {
+      for (uint32_t i = 0; i < c->count; ++i) fn(c->items[i]);
+    }
+  }
+
   /// Records that one item already pushed to `bucket` has logically died
   /// (the drain-time filter will skip it). Fuels CompactIfStale's trigger;
   /// the caller is responsible for counting each dead item at most once.
@@ -116,26 +128,20 @@ class EventRing {
         << "more dead items noted than bucket " << bucket << " holds";
   }
 
-  /// Dead items noted against `bucket` since its last drain/compaction
+  /// Dead items noted against `bucket` since its last drain or filter
   /// (diagnostics, tests).
   uint32_t NotedDead(int64_t bucket) const {
     return buckets_[static_cast<size_t>(bucket)].dead;
   }
 
-  /// When at least half of `bucket`'s items have been NoteDead'd, rewrites
-  /// the bucket in place keeping only items for which keep(item) is true —
-  /// stable (push order preserved), allocation-free (emptied tail chunks
-  /// recycle onto the free list), and amortized O(1) per NoteDead by the
-  /// usual halving potential argument: each compaction visits <= 2x the
-  /// dead items that paid for it. Returns true iff a compaction ran.
-  ///
-  /// Draining later sees exactly the same live items in the same order
-  /// whether or not a compaction triggered, so the threshold can never
-  /// alter a schedule.
+  /// Rewrites `bucket` in place keeping only the items for which keep(item)
+  /// is true: stable (push order preserved) and allocation-free (emptied
+  /// tail chunks recycle onto the free list). `keep` is called once per
+  /// item, in push order, and must not Push into this ring. Clears the
+  /// bucket's dead count. Returns the number of items removed.
   template <typename Keep>
-  bool CompactIfStale(int64_t bucket, Keep&& keep) {
+  size_t Filter(int64_t bucket, Keep&& keep) {
     Bucket& b = buckets_[static_cast<size_t>(bucket)];
-    if (b.dead == 0 || b.dead * 2 < b.size) return false;
     Chunk* write = b.head;
     uint32_t wi = 0;
     uint32_t kept = 0;
@@ -172,8 +178,25 @@ class EventRing {
       ReleaseChunk(excess);
       excess = next;
     }
+    const size_t removed = b.size - kept;
     b.size = kept;
     b.dead = 0;
+    return removed;
+  }
+
+  /// Filters `bucket` (see Filter) once at least half of its items have
+  /// been NoteDead'd: amortized O(1) per NoteDead by the usual halving
+  /// potential argument, since each compaction visits <= 2x the dead items
+  /// that paid for it. Returns true iff a compaction ran.
+  ///
+  /// Draining later sees exactly the same live items in the same order
+  /// whether or not a compaction triggered, so the threshold can never
+  /// alter a schedule.
+  template <typename Keep>
+  bool CompactIfStale(int64_t bucket, Keep&& keep) {
+    const Bucket& b = buckets_[static_cast<size_t>(bucket)];
+    if (b.dead == 0 || b.dead * 2 < b.size) return false;
+    Filter(bucket, keep);
     return true;
   }
 
@@ -192,7 +215,7 @@ class EventRing {
     Chunk* head = nullptr;
     Chunk* tail = nullptr;
     uint32_t size = 0;
-    // Items noted dead since the last drain/compaction (see NoteDead).
+    // Items noted dead since the last drain or filter (see NoteDead).
     uint32_t dead = 0;
   };
 

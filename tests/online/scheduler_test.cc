@@ -253,6 +253,44 @@ TEST(OnlineSchedulerTest, DiagnosticsCounters) {
   EXPECT_EQ(scheduler.stats().ceis_captured, 1);
 }
 
+// On the ordered path (MRSF) a slot entry may outlive its CEI's state. With
+// terminal-state compaction, a cancelled CEI whose window runs past the
+// epoch releases its state at the end of the cancel chronon, and the next
+// arrival reuses it with an EI at the same index on another resource. A
+// push of the first CEI's resource must not capture that EI through the
+// first CEI's stale entry.
+TEST(OnlineSchedulerTest, OrderedPathStaleSlotEntryMissesTheNextOccupant) {
+  Cei first;
+  first.id = 1;
+  first.eis.push_back(ExecutionInterval{10, 1, 0, 20});
+  Cei second;
+  second.id = 2;
+  second.eis.push_back(ExecutionInterval{20, 2, 0, 20});
+  MrsfPolicy policy;
+  SchedulerOptions options;
+  options.compact_terminal_states = true;
+  // No budget: only the push can make a resource's content available.
+  OnlineScheduler scheduler(4, 10, BudgetVector::Uniform(0), &policy,
+                            options);
+  std::vector<CeiId> captured;
+  scheduler.set_on_cei_captured(
+      [&](const Cei& cei) { captured.push_back(cei.id); });
+  ASSERT_TRUE(scheduler.AddArrival(&first, 0).ok());
+  ASSERT_TRUE(scheduler.Step(0, nullptr).ok());
+  ASSERT_TRUE(scheduler.RemoveCei(first.id, 1).ok());
+  ASSERT_TRUE(scheduler.Step(1, nullptr).ok());
+  ASSERT_EQ(scheduler.NumResidentStates(), 0u);
+  ASSERT_TRUE(scheduler.AddArrival(&second, 2).ok());
+  ASSERT_EQ(scheduler.NumResidentStates(), 1u);
+  ASSERT_TRUE(scheduler.AddPush(1, 2).ok());
+  ASSERT_TRUE(scheduler.Step(2, nullptr).ok());
+  EXPECT_EQ(scheduler.stats().pushes_delivered, 1);
+  EXPECT_EQ(scheduler.stats().eis_captured, 0);
+  EXPECT_TRUE(captured.empty());
+  EXPECT_EQ(scheduler.LifecycleOf(second.id), CeiLifecycle::kPending);
+  EXPECT_EQ(scheduler.NumActiveEis(), 1u);
+}
+
 TEST(OnlineRunTest, NullPolicyRejected) {
   const auto problem = MakeProblem(1, 5, 1, {{{{0, 0, 1}}}});
   EXPECT_EQ(RunOnline(problem, nullptr).status().code(),

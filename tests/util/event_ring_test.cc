@@ -98,6 +98,76 @@ TEST(EventRingTest, DrainResetsDeadCounters) {
   EXPECT_EQ(ring.NotedDead(0), 0u);
 }
 
+TEST(EventRingTest, VisitKeepsTheItemsInPushOrder) {
+  Arena arena;
+  EventRing<int64_t> ring(&arena, 2);
+  const int64_t n = static_cast<int64_t>(ring.kChunkCapacity) * 2 + 3;
+  for (int64_t i = 0; i < n; ++i) ring.Push(1, i);
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<int64_t> seen;
+    ring.Visit(1, [&](int64_t v) { seen.push_back(v); });
+    ASSERT_EQ(seen.size(), static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) EXPECT_EQ(seen[static_cast<size_t>(i)], i);
+    EXPECT_EQ(ring.Size(1), static_cast<size_t>(n));
+  }
+  ring.Visit(0, [](int64_t) { ADD_FAILURE() << "empty bucket visited"; });
+  const std::vector<int64_t> drained = DrainToVector(ring, 1);
+  EXPECT_EQ(drained.size(), static_cast<size_t>(n));
+}
+
+TEST(EventRingTest, FilterKeepsPushOrderWithoutADeadThreshold) {
+  Arena arena;
+  EventRing<int64_t> ring(&arena, 1);
+  const int64_t n = static_cast<int64_t>(ring.kChunkCapacity) * 4;
+  for (int64_t i = 0; i < n; ++i) ring.Push(0, i);
+  ring.NoteDead(0);
+  // One item in ten goes, far below CompactIfStale's half: Filter runs
+  // anyway, calls keep once per item in push order, and clears the note.
+  std::vector<int64_t> asked;
+  const size_t removed = ring.Filter(0, [&](int64_t v) {
+    asked.push_back(v);
+    return v % 10 != 0;
+  });
+  ASSERT_EQ(asked.size(), static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) EXPECT_EQ(asked[static_cast<size_t>(i)], i);
+  EXPECT_EQ(removed, static_cast<size_t>((n + 9) / 10));
+  EXPECT_EQ(ring.Size(0), static_cast<size_t>(n) - removed);
+  EXPECT_EQ(ring.NotedDead(0), 0u);
+  std::vector<int64_t> expected;
+  for (int64_t i = 0; i < n; ++i) {
+    if (i % 10 != 0) expected.push_back(i);
+  }
+  std::vector<int64_t> visited;
+  ring.Visit(0, [&](int64_t v) { visited.push_back(v); });
+  EXPECT_EQ(visited, expected);
+  EXPECT_EQ(DrainToVector(ring, 0), expected);
+}
+
+TEST(EventRingTest, FilterRecyclesEmptiedChunks) {
+  Arena arena;
+  EventRing<int64_t> ring(&arena, 2);
+  const int64_t n = static_cast<int64_t>(ring.kChunkCapacity) * 6;
+  for (int64_t i = 0; i < n; ++i) ring.Push(0, i);
+  const int64_t chunks_after_fill = ring.chunks_allocated();
+  // Keep the first chunk's worth: the other five chunks go to the free
+  // list, and refilling another bucket takes them instead of the arena.
+  const int64_t keep_below = static_cast<int64_t>(ring.kChunkCapacity);
+  EXPECT_EQ(ring.Filter(0, [&](int64_t v) { return v < keep_below; }),
+            static_cast<size_t>(n - keep_below));
+  for (int64_t i = 0; i < n - keep_below; ++i) ring.Push(1, i);
+  EXPECT_EQ(ring.chunks_allocated(), chunks_after_fill);
+  // Emptying a bucket releases its last chunk too.
+  EXPECT_EQ(ring.Filter(0, [](int64_t) { return false; }),
+            static_cast<size_t>(keep_below));
+  EXPECT_TRUE(ring.Empty(0));
+  EXPECT_EQ(ring.Filter(0, [](int64_t) { return true; }), 0u);
+  for (int64_t i = 0; i < keep_below; ++i) ring.Push(0, i);
+  EXPECT_EQ(ring.chunks_allocated(), chunks_after_fill);
+  EXPECT_EQ(DrainToVector(ring, 0).size(), static_cast<size_t>(keep_below));
+  EXPECT_EQ(DrainToVector(ring, 1).size(),
+            static_cast<size_t>(n - keep_below));
+}
+
 TEST(EventRingTest, SteadyCancelChurnIsAmortizedFlat) {
   Arena arena;
   EventRing<int64_t> ring(&arena, 1);

@@ -109,7 +109,7 @@ HOTPATH_FUNCTIONS = {
         "Step", "RankScan", "Activate", "AdmitActive", "ProcessExpiries",
         "MarkFailed", "MoveSlot", "ResizeSlots", "IssueProbe", "RecordProbe",
         "Capture", "IndexPush", "RebuildIndex", "SelectFromIndex",
-        "RekeyCei", "CaptureAndCompact",
+        "RekeyCei", "CaptureSlots", "SweepSlots",
     },
 }
 HOTPATH_ALLOW = "hotpath-alloc-ok:"

@@ -373,7 +373,7 @@ int InspectCommand(int argc, const char* const* argv) {
 int QueryCommand(int argc, const char* const* argv) {
   FlagSet flags("webmon_cli query: run a continuous-query program");
   flags.AddString("program", "", "the query program text (required)")
-      .AddInt("horizon", 200, "epoch length")
+      .AddInt("horizon", 200, "epoch length, 1 to 10^6")
       .AddDouble("lambda", 20.0, "updates per feed per epoch")
       .AddDouble("keyword-prob", 0.4, "probability an item mentions a "
                                       "keyword")
@@ -381,7 +381,9 @@ int QueryCommand(int argc, const char* const* argv) {
       .AddInt("budget", 1, "probes per chronon")
       .AddString("policy", "mrsf", "scheduling policy")
       .AddInt("seed", 1, "RNG seed");
-  if (Status st = ParseFlags(flags, argc, argv); !st.ok()) {
+  if (Status st =
+          ParseFlags(flags, argc, argv, {{"horizon", 1, kMaxChronons}});
+      !st.ok()) {
     std::cerr << st << "\n" << flags.Help();
     return 2;
   }
