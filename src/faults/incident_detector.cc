@@ -44,6 +44,7 @@ void IncidentDetector::AdvanceOne(Chronon t) {
         domain.open = true;
         domain.opened_at = t;
         domain.trial_successes = 0;
+        ++open_domains_;
         ++stats_.opens;
       }
     }
@@ -96,6 +97,7 @@ void IncidentDetector::RecordAttempt(ResourceId resource, Chronon now,
           // Close and forget the incident-era window: the stale failures
           // must not instantly re-open the breaker.
           domain.open = false;
+          --open_domains_;
           domain.trial_successes = 0;
           std::fill(domain.window.begin(), domain.window.end(),
                     WindowEntry{});

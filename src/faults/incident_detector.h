@@ -65,6 +65,14 @@ class IncidentDetector {
 
   /// True iff the fleet breaker of `domain` is open.
   bool Open(size_t domain) const { return domains_[domain].open; }
+  /// True iff the fleet breaker of any domain is open. While none is,
+  /// Suppressed() is false for every resource.
+  bool AnyOpen() const { return open_domains_ > 0; }
+  /// True iff some domain covers `resource`. Suppressed() is always false
+  /// for an uncovered resource.
+  bool Covers(ResourceId resource) const {
+    return !coverage_.DomainsCovering(resource).empty();
+  }
   /// True iff `domain` is open and scheduled an end-of-incident trial for
   /// the current chronon; `*resource` receives the trial member. The
   /// scheduler issues the trial probe itself — the detector only picks it.
@@ -108,6 +116,9 @@ class IncidentDetector {
   FaultHandlingOptions options_;
   std::vector<Domain> domains_;
   DomainCoverage coverage_;
+  // Domains whose breaker is open: +1 when AdvanceOne opens one, -1 when a
+  // trial in RecordAttempt closes one.
+  size_t open_domains_ = 0;
   Chronon cursor_ = -1;
   IncidentDetectorStats stats_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "faults/fault_model.h"
 #include "faults/incident_detector.h"
@@ -11,11 +12,26 @@
 
 namespace webmon {
 
+namespace {
+
+// The fault path keeps each resource's gate chronon in 32 bits
+// (ResourceGate::probe_from), clamped to the epoch end: reject epochs that
+// do not fit before any per-chronon structure is sized from them.
+Chronon CheckedEpoch(Chronon num_chronons, const SchedulerOptions& options) {
+  WEBMON_CHECK(options.fault_injector == nullptr ||
+               num_chronons <= std::numeric_limits<int32_t>::max())
+      << "an epoch of " << num_chronons
+      << " chronons does not fit the fault path's 32-bit gate chronons";
+  return num_chronons;
+}
+
+}  // namespace
+
 OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
                                  BudgetVector budget, Policy* policy,
                                  SchedulerOptions options)
     : num_resources_(num_resources),
-      num_chronons_(num_chronons),
+      num_chronons_(CheckedEpoch(num_chronons, options)),
       budget_(std::move(budget)),
       policy_(policy),
       options_(options),
@@ -49,6 +65,10 @@ OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
         detector_ = std::make_unique<IncidentDetector>(
             spec, num_resources, options_.fault_handling);
       }
+    }
+    gates_.reserve(num_resources);
+    for (ResourceId r = 0; r < num_resources; ++r) {
+      gates_.push_back(GateFor(r));
     }
   }
   // The per-resource rank table (best_at_) is allocated on first use — the
@@ -86,19 +106,27 @@ ResourceHealth OnlineScheduler::health(ResourceId resource) const {
 
 bool OnlineScheduler::ResourceAvailable(ResourceId resource,
                                         Chronon now) const {
-  if (health_.empty()) return true;
+  return gates_.empty() || now >= gates_[resource].probe_from;
+}
+
+OnlineScheduler::ResourceGate OnlineScheduler::GateFor(
+    ResourceId resource) const {
   const ResourceHealth& h = health_[resource];
-  if (h.breaker == ResourceHealth::Breaker::kOpen) {
-    // Open until the cooldown elapsed; then the half-open trial may go out.
-    return now >= h.open_until;
-  }
-  return now >= h.retry_not_before;
+  // Open until the cooldown elapsed; then the half-open trial may go out.
+  const Chronon from = h.breaker == ResourceHealth::Breaker::kOpen
+                           ? h.open_until
+                           : h.retry_not_before;
+  ResourceGate gate;
+  gate.probe_from =
+      static_cast<int32_t>(std::clamp<Chronon>(from, 0, num_chronons_));
+  gate.shrink = static_cast<uint8_t>(ShrinkFor(resource));
+  gate.streak = h.consecutive_failures > 0;
+  gate.covered = detector_ != nullptr && detector_->Covers(resource);
+  return gate;
 }
 
 Chronon OnlineScheduler::ShrinkFor(ResourceId resource) const {
-  if (health_.empty() || options_.fault_handling.deadline_shrink_cap <= 0) {
-    return 0;
-  }
+  if (options_.fault_handling.deadline_shrink_cap <= 0) return 0;
   const double f = std::min(health_[resource].ewma_failure, 0.95);
   if (f <= 0.0) return 0;
   // Expected extra attempts per successful probe under failure rate f is
@@ -571,15 +599,19 @@ void OnlineScheduler::RankScan(Chronon now, bool compute_values, size_t top_c,
   const size_t n = slot_cand_.size();
   const bool split_started = !options_.preemptive;
   // Fault gates (kFaulty only): the retry-budget state is fixed for the
-  // whole rank phase.
+  // whole rank phase, and so is the detector's, which a fleet-breaker trial
+  // issued ahead of the scan may have just closed. While no domain is open
+  // no resource is suppressed, so the detector is not consulted at all.
   const bool no_retries = kFaulty && RetryBudgetExhausted();
-  const IncidentDetector* detector = detector_.get();
+  const IncidentDetector* detector =
+      kFaulty && detector_ != nullptr && detector_->AnyOpen() ? detector_.get()
+                                                              : nullptr;
 
   // Computes the candidate's policy value at the fault-shrunk effective
   // chronon. On healthy resources (and always without an injector) the
   // shrink is 0.
   auto value_of = [&](size_t i, const CandidateEi& cand, ResourceId r) {
-    const Chronon shrink = kFaulty ? ShrinkFor(r) : 0;
+    const Chronon shrink = kFaulty ? gates_[r].shrink : 0;
     const Chronon eff =
         shrink == 0 ? now : std::min(now + shrink, slot_finish_[i]);
     return policy_->Value(cand, eff);
@@ -597,14 +629,17 @@ void OnlineScheduler::RankScan(Chronon now, bool compute_values, size_t top_c,
   auto eligible = [&](ResourceId r) {
     if (check_attempted && attempted_now_[r]) return false;
     if constexpr (kFaulty) {
-      if (!ResourceAvailable(r, now)) return false;
-      if (no_retries && health_[r].consecutive_failures > 0) {
+      const ResourceGate gate = gates_[r];
+      WEBMON_DCHECK(gate == GateFor(r))
+          << "stale gate word of resource " << r << " at chronon " << now;
+      if (now < gate.probe_from) return false;
+      if (no_retries && gate.streak) {
         // The retry budget is spent: resources with a live failure streak
         // stop being offered for the rest of the run.
         ++stats_.retries_suppressed;
         return false;
       }
-      if (detector != nullptr && detector->Suppressed(r)) {
+      if (gate.covered && detector != nullptr && detector->Suppressed(r)) {
         // A covering fleet breaker is open and this resource is not the
         // chronon's end-of-incident trial: withhold the probe and let the
         // budget flow to unaffected work.
@@ -733,6 +768,7 @@ bool OnlineScheduler::IssueProbe(ResourceId resource, Chronon now,
   attempt_log_.push_back({resource, now, outcome, inc_flags});
   const bool success = ProbeSucceeded(outcome);
   RecordOutcome(resource, now, success, cost);
+  gates_[resource] = GateFor(resource);
   if (detector_ != nullptr) detector_->RecordAttempt(resource, now, success);
   return success;
 }
@@ -966,9 +1002,7 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
       if (!detector_->TrialDue(d, &r)) continue;
       if (attempted_now_[r]) continue;  // push or an earlier domain's trial
       if (!ResourceAvailable(r, now)) continue;
-      if (health_[r].consecutive_failures > 0 && RetryBudgetExhausted()) {
-        continue;
-      }
+      if (gates_[r].streak && RetryBudgetExhausted()) continue;
       const double cost = uniform_costs ? 1.0 : options_.resource_costs[r];
       if (cost_used + cost > capacity) break;
       cost_used += cost;
@@ -1006,7 +1040,7 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
     const size_t scan_top_c = bounded ? top_c : 0;
     // The scan is instantiated on whether an injector is attached, so the
     // fault-free scan carries no gate branches.
-    if (health_.empty()) {
+    if (gates_.empty()) {
       RankScan<false>(now, compute_values, scan_top_c, check_attempted);
     } else {
       RankScan<true>(now, compute_values, scan_top_c, check_attempted);
@@ -1067,8 +1101,7 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
       // merged_ holds one candidate per resource.
       WEBMON_DCHECK(!attempted_now_[r]);
       WEBMON_DCHECK(ResourceAvailable(r, now));
-      if (!health_.empty() && health_[r].consecutive_failures > 0 &&
-          RetryBudgetExhausted()) {
+      if (!gates_.empty() && gates_[r].streak && RetryBudgetExhausted()) {
         // The retry budget ran out mid-chronon (an earlier retry in this
         // walk spent the rest): withhold this attempt too.
         ++stats_.retries_suppressed;

@@ -53,10 +53,16 @@
 // backoff with deterministic jitter between retries, a per-resource circuit
 // breaker (closed -> open -> half-open) that stops wasting budget on a dead
 // resource, and a deadline shrink that makes urgency ranking account for the
-// expected retries on flaky resources. With no injector (or an injector
-// whose failure probabilities are all zero) the schedule is byte-identical
-// to the fault-free algorithm (pay-for-use, enforced by the fault property
-// tests).
+// expected retries on flaky resources. Each resource's ResourceHealth
+// (health()) holds that state; the rank scan, the fleet-breaker trials and
+// the walk read an 8-byte gate word per resource instead, which IssueProbe
+// re-derives from the health entry after every recorded outcome (next
+// probeable chronon, deadline shrink, live-streak and covered flags;
+// docs/PERFORMANCE.md "Top-C selection"). The word holds a 32-bit chronon,
+// so with an injector the constructor rejects epochs beyond 2^31 - 1
+// chronons. With no injector (or an injector whose failure probabilities
+// are all zero) the schedule is byte-identical to the fault-free algorithm
+// (pay-for-use, enforced by the fault property tests).
 //
 // When the injector's spec additionally names fleet incident domains
 // (docs/ROBUSTNESS.md), an online IncidentDetector watches the attempt
@@ -66,7 +72,8 @@
 // deterministic re-probe trial per reprobe interval, which is also how the
 // detector notices the incident ended. Detector state is a pure function of
 // the attempt stream and is only read while the rank scan gates its
-// candidates. Specs without incident lines construct no detector and
+// candidates — and then only while some domain is open, for resources a
+// domain covers. Specs without incident lines construct no detector and
 // schedule byte-identically to before.
 
 #ifndef WEBMON_ONLINE_ONLINE_SCHEDULER_H_
@@ -103,7 +110,10 @@ struct SchedulerSizingHints {
   /// buckets take arena chunks as they fill).
   size_t expected_active_eis = 0;
   /// Expected total probe attempts over the run: pre-reserves the attempt
-  /// log (only allocated when a fault injector is attached).
+  /// log (only allocated when a fault injector is attached). Without it the
+  /// log grows inside Step, so a fault-injected tick allocates each time
+  /// the log outgrows its capacity; a zero-allocation fault path needs the
+  /// hint.
   size_t expected_attempts = 0;
   /// Expected total CEIs registered over the run: pre-sizes the id -> state
   /// lookup serving RemoveCei, so steady-state churn never grows it.
@@ -219,9 +229,10 @@ struct SchedulerStats {
 };
 
 /// Observable per-resource failure-handling state (diagnostics, tests).
+/// The scheduler keeps one per resource; the 8-byte fields come first so
+/// the struct packs to 56 bytes.
 struct ResourceHealth {
   enum class Breaker : uint8_t { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
-  Breaker breaker = Breaker::kClosed;
   /// First chronon at which an attempt may be issued again after a failure
   /// (backoff gate; 0 = no gate).
   Chronon retry_not_before = 0;
@@ -229,12 +240,14 @@ struct ResourceHealth {
   Chronon open_until = 0;
   /// Current open-period length; doubles on failed half-open trials.
   Chronon cooldown = 0;
-  int32_t consecutive_failures = 0;
   int64_t failures = 0;
   int64_t successes = 0;
   /// EWMA failure-rate estimate driving the deadline shrink.
   double ewma_failure = 0.0;
+  int32_t consecutive_failures = 0;
+  Breaker breaker = Breaker::kClosed;
 };
+static_assert(sizeof(ResourceHealth) <= 56);
 
 /// The online proxy scheduling engine. Drive it from a single chronon loop
 /// that steps every chronon in order: the public API is not thread-safe,
@@ -328,7 +341,9 @@ class OnlineScheduler {
 
   /// Every probe attempt with its outcome, in issue order. Only populated
   /// when a fault injector is attached (empty otherwise); feed it to
-  /// AuditFaultRun to verify the failure-handling invariants.
+  /// AuditFaultRun to verify the failure-handling invariants. It keeps
+  /// every attempt of the run and grows inside Step unless
+  /// SchedulerSizingHints::expected_attempts reserved room for them.
   const std::vector<ProbeAttempt>& attempt_log() const {
     return attempt_log_;
   }
@@ -398,6 +413,27 @@ class OnlineScheduler {
   // spread the appends over more, colder bucket tails.
   static constexpr uint32_t kSlotBucketBits = 10;
   static constexpr size_t kSlotBuckets = size_t{1} << kSlotBucketBits;
+  // The fault path's rank gates of one resource in 8 bytes, re-derived
+  // from its ResourceHealth (GateFor) each time IssueProbe records an
+  // outcome on it. The rank scan, the fleet-breaker trials and the walk
+  // read this word, not the 56-byte health entry, and the shrink division
+  // runs once per outcome instead of once per valued candidate.
+  struct ResourceGate {
+    // First chronon at which the resource may be probed: open_until while
+    // the breaker is open, else retry_not_before. Clamped to
+    // [0, num_chronons_], which changes no comparison with a chronon of
+    // the epoch; the constructor rejects epochs beyond 32 bits.
+    int32_t probe_from = 0;
+    // ShrinkFor(resource), at most 19.
+    uint8_t shrink = 0;
+    // A live failure streak: the next attempt is a retry.
+    bool streak = false;
+    // Some incident domain of the detector covers the resource.
+    bool covered = false;
+    friend bool operator==(const ResourceGate&,
+                           const ResourceGate&) = default;
+  };
+  static_assert(sizeof(ResourceGate) <= 8);
   // Largest uniform budget served by the table-free bounded top-C path; a
   // C-entry scan board stops beating the per-resource table somewhere
   // beyond this.
@@ -461,9 +497,11 @@ class OnlineScheduler {
   // `check_attempted` is false when no resource was contacted before the
   // rank phase (no pushes or fleet trials) — the common case, which skips
   // the per-candidate attempted_now_ lookup. kFaulty (an injector is
-  // attached) gates each live candidate on its own resource — backoff and
-  // breaker, the retry budget, fleet-breaker suppression — counts the
-  // withheld ones in stats_, and shrinks the others' deadlines.
+  // attached) gates each live candidate on its own resource's gate word —
+  // backoff and breaker, the retry budget, then fleet-breaker suppression,
+  // asked of the detector only while a domain is open and only for covered
+  // resources — counts the withheld ones in stats_, and shrinks the
+  // others' deadlines.
   template <bool kFaulty>
   void RankScan(Chronon now, bool compute_values, size_t top_c,
                 bool check_attempted);
@@ -537,14 +575,20 @@ class OnlineScheduler {
   // --- Failure handling (active only when a fault injector is attached) ---
   // True iff `resource` may be probed at `now`: its breaker is not open
   // (or its cooldown elapsed, allowing the half-open trial) and no backoff
-  // gate is pending.
+  // gate is pending. Reads the gate word.
   bool ResourceAvailable(ResourceId resource, Chronon now) const;
   // Folds one attempt outcome into the resource's health: streaks, EWMA,
   // backoff gate, breaker transitions, and the fault counters.
   void RecordOutcome(ResourceId resource, Chronon now, bool success,
                      double cost);
-  // Deadline shrink for EIs on `resource` (0 on healthy resources).
+  // Deadline shrink for EIs on `resource`, from its health's EWMA failure
+  // rate f: ceil(f/(1-f)) expected extra attempts, with f capped at 0.95
+  // (so at most 19) and the result at deadline_shrink_cap; 0 on healthy
+  // resources. Evaluated by GateFor, once per recorded outcome.
   Chronon ShrinkFor(ResourceId resource) const;
+  // The gate word of `resource` as derived from health_[resource] and the
+  // detector's coverage.
+  ResourceGate GateFor(ResourceId resource) const;
   // True iff FaultSpec::retry_budget is set and already spent, so no
   // further retry attempts may be issued.
   bool RetryBudgetExhausted() const;
@@ -672,7 +716,13 @@ class OnlineScheduler {
   std::vector<uint32_t> best_at_;
 
   // Per-resource failure-handling state; empty when no injector is set.
+  // The source of truth for health() and the audits; only RecordOutcome
+  // (and IssueProbe's half-open transition) write it.
   std::vector<ResourceHealth> health_;
+  // gates_[r] == GateFor(r) between outcomes: IssueProbe rewrites it right
+  // after RecordOutcome, so at most C words change per chronon. Empty when
+  // no injector is set.
+  std::vector<ResourceGate> gates_;
   std::vector<ProbeAttempt> attempt_log_;
   // Fleet incident machinery; allocated only when the injector's spec
   // names incident domains (pay-for-use). detector_ additionally requires

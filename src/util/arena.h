@@ -5,10 +5,12 @@
 // per-chronon event buckets churn through small nodes every tick, and
 // general-purpose heap allocation both costs time and defeats the
 // 0-allocations-per-chronon steady-state contract. Arena carves aligned
-// allocations out of geometrically sized blocks obtained from the global
-// heap, never frees them individually, and rewinds the whole pool in O(1)
-// with Reset() — blocks are retained and reused in order, so after warm-up
-// a Reset/refill cycle touches the heap zero times.
+// allocations out of blocks obtained from the global heap, each of the
+// minimum block size (64 KiB by default) or, for a larger request, of that
+// request's size, so a slowly growing pool takes one heap allocation per
+// block. It never frees them individually, and rewinds the whole pool in
+// O(1) with Reset() — blocks are retained and reused in order, so after
+// warm-up a Reset/refill cycle touches the heap zero times.
 //
 // Not thread-safe: each Arena must be owned by a single thread (the
 // scheduler uses one arena, mutated only in the serial Tick phase). All

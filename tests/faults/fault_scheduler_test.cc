@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -459,6 +460,21 @@ TEST(FaultSchedulerTest, AttemptLogAbsentWithoutInjector) {
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->attempts.empty());
   EXPECT_EQ(run->stats.probes_failed, 0);
+}
+
+TEST(FaultSchedulerDeathTest, RejectsAnEpochBeyondTheGateChronons) {
+  // The fault path keeps each resource's next probeable chronon in 32 bits,
+  // so with an injector attached the constructor rejects a longer epoch,
+  // before sizing anything from it, instead of truncating.
+  FaultInjector injector(FaultSpec{}, 1, 1);
+  auto policy = MakePolicy("m-edf");
+  ASSERT_TRUE(policy.ok());
+  SchedulerOptions options;
+  options.fault_injector = &injector;
+  const Chronon too_long = Chronon{std::numeric_limits<int32_t>::max()} + 1;
+  EXPECT_DEATH(OnlineScheduler(1, too_long, BudgetVector::Uniform(1),
+                               policy->get(), options),
+               "32-bit gate chronons");
 }
 
 // ---------------------------------------------------------------------------

@@ -397,6 +397,84 @@ TEST(IncidentDetectorTest, TrialSelectionIsDeterministic) {
             1u);
 }
 
+TEST(IncidentDetectorTest, AnyOpenFollowsEveryDomainThroughCloseAndReopen) {
+  // Two domains over a fleet of four, evens and odds. The scheduler skips
+  // the detector in its rank scan while AnyOpen() is false, so the count
+  // behind it must match the domains' breakers after every call that can
+  // move one.
+  FaultSpec spec;
+  IncidentDomain evens = Domain("evens", 0.1, 0.2, 1.0);
+  evens.stride = 2;
+  IncidentDomain odds = Domain("odds", 0.1, 0.2, 1.0);
+  odds.stride = 2;
+  odds.offset = 1;
+  spec.incidents = {evens, odds};
+  FaultHandlingOptions options;
+  options.incident_min_attempts = 2;
+  options.incident_reprobe_interval = 1;
+  options.incident_close_successes = 1;
+  IncidentDetector detector(spec, 4, options);
+
+  auto expect_any_open_matches = [&](const std::string& after) {
+    bool any = false;
+    for (size_t d = 0; d < detector.num_domains(); ++d) {
+      any = any || detector.Open(d);
+    }
+    EXPECT_EQ(detector.AnyOpen(), any) << "after " << after;
+  };
+  auto begin = [&](Chronon t) {
+    detector.BeginChronon(t);
+    expect_any_open_matches("BeginChronon(" + std::to_string(t) + ")");
+  };
+  auto record = [&](ResourceId r, Chronon t, bool success) {
+    detector.RecordAttempt(r, t, success);
+    expect_any_open_matches("RecordAttempt(" + std::to_string(r) + ", " +
+                            std::to_string(t) + ")");
+  };
+
+  // Both domains fail all their attempts and open at chronon 1.
+  begin(0);
+  for (ResourceId r = 0; r < 4; ++r) record(r, 0, false);
+  begin(1);
+  ASSERT_TRUE(detector.Open(0));
+  ASSERT_TRUE(detector.Open(1));
+  EXPECT_TRUE(detector.AnyOpen());
+
+  // The chronon's trials go out ahead of its rank scan. The evens trial
+  // closes its domain while the odds stay open...
+  ResourceId trial = 0;
+  ASSERT_TRUE(detector.TrialDue(0, &trial));
+  record(trial, 1, true);
+  EXPECT_FALSE(detector.Open(0));
+  EXPECT_TRUE(detector.AnyOpen());
+  // ...then the odds trial closes the last open domain. The rank scan of
+  // the same chronon sees no open domain and no suppressed resource.
+  ASSERT_TRUE(detector.TrialDue(1, &trial));
+  record(trial, 1, true);
+  EXPECT_FALSE(detector.AnyOpen());
+  for (ResourceId r = 0; r < 4; ++r) EXPECT_FALSE(detector.Suppressed(r));
+  // The walk's attempts of the same chronon.
+  record(0, 1, true);
+  record(1, 1, false);
+
+  // The evens reopen, survive a failed trial and close again.
+  begin(2);
+  for (int i = 0; i < 3; ++i) record(2, 2, false);
+  begin(3);
+  ASSERT_TRUE(detector.Open(0));
+  EXPECT_FALSE(detector.Open(1));
+  EXPECT_TRUE(detector.AnyOpen());
+  ASSERT_TRUE(detector.TrialDue(0, &trial));
+  record(trial, 3, false);
+  EXPECT_TRUE(detector.AnyOpen());
+  begin(4);
+  ASSERT_TRUE(detector.TrialDue(0, &trial));
+  record(trial, 4, true);
+  EXPECT_FALSE(detector.AnyOpen());
+  EXPECT_EQ(detector.stats().opens, 3);
+  EXPECT_EQ(detector.stats().closes, 3);
+}
+
 // ---------------------------------------------------------------------------
 // DomainCoverage: the flat resource -> covering-domains table.
 // ---------------------------------------------------------------------------
