@@ -607,14 +607,12 @@ void OnlineScheduler::RankScan(Chronon now, bool compute_values, size_t top_c,
       kFaulty && detector_ != nullptr && detector_->AnyOpen() ? detector_.get()
                                                               : nullptr;
 
-  // Computes the candidate's policy value at the fault-shrunk effective
-  // chronon. On healthy resources (and always without an injector) the
+  // The fault-shrunk chronon a candidate closing at `finish` on resource r
+  // is valued at. On healthy resources (and always without an injector) the
   // shrink is 0.
-  auto value_of = [&](size_t i, const CandidateEi& cand, ResourceId r) {
+  auto valued_at = [&](Chronon finish, ResourceId r) {
     const Chronon shrink = kFaulty ? gates_[r].shrink : 0;
-    const Chronon eff =
-        shrink == 0 ? now : std::min(now + shrink, slot_finish_[i]);
-    return policy_->Value(cand, eff);
+    return shrink == 0 ? now : std::min(now + shrink, finish);
   };
   // Skip resources already served by a push or fleet trial (the legacy
   // greedy walk skipped their candidates one by one, so dropping them
@@ -671,37 +669,56 @@ void OnlineScheduler::RankScan(Chronon now, bool compute_values, size_t top_c,
     for (size_t i = 0; i < n; ++i) {
       const CandidateEi cand = slot_cand_[i];
       if (!cand.IsLive()) continue;  // lazy stale-entry removal
-      const ResourceId r = slot_resource_[i];
-      if (eligible(r)) {
-        const Ranked cur{cand, value_of(i, cand, r), slot_finish_[i], r,
-                         split_started && cand.state->Started()};
-        // A full board whose worst entry outranks the candidate cannot
-        // change — not even via resource dedup: the board's entry for
-        // this resource, if any, outranks it too.
-        if (!full || RankedBefore(cur, bar, split_started)) {
-          size_t j = 0;
-          while (j < kept.size() && kept[j].resource != r) ++j;
-          if (j < kept.size()) {
-            if (RankedBefore(cur, kept[j], split_started)) kept[j] = cur;
-          } else if (full) {
-            kept[worst] = cur;
-          } else {
-            // The board is reserved to kMaxBoundedTopC+1 in the
-            // constructor, so this never reallocates.
-            kept.push_back(cur);  // hotpath-alloc-ok: board reserved in ctor
-            full = kept.size() == top_c;
-          }
-          if (full) {
-            worst = 0;
-            for (size_t k = 1; k < kept.size(); ++k) {
-              if (RankedBefore(kept[worst], kept[k], split_started)) worst = k;
-            }
-            bar = kept[worst];
-          }
-        }
-      }
+      // Compact first (slot i stays readable), so ranking may stop early.
       if (w != i) MoveSlot(w, i);
       ++w;
+      const ResourceId r = slot_resource_[i];
+      if (!eligible(r)) continue;
+      const Chronon finish = slot_finish_[i];
+      const Chronon t = valued_at(finish, r);
+      const bool started = split_started && cand.state->Started();
+      // Bound before valuing: a candidate RankedBefore provably puts behind
+      // the bar is skipped before its Value. In the bar's started class
+      // that takes a value floor above the bar's value (at equal values
+      // the deadline and id could still win); a fresh candidate behind a
+      // started bar loses whatever its value. A started candidate always
+      // beats a fresh bar. Only finite floors skip, so a policy keeping
+      // the default floor is valued exactly as before.
+      if (full && (bar.started || !started)) {
+        const double floor = policy_->ValueFloor(cand, finish, t, now);
+        if (floor > (started == bar.started
+                         ? bar.value
+                         : -std::numeric_limits<double>::infinity())) {
+          WEBMON_DCHECK_LE(floor, policy_->Value(cand, t))
+              << "value floor of CEI " << cand.state->cei->id << " EI "
+              << cand.ei_index << " at chronon " << now;
+          continue;
+        }
+      }
+      const Ranked cur{cand, policy_->Value(cand, t), finish, r, started};
+      // A full board whose worst entry outranks the candidate cannot
+      // change — not even via resource dedup: the board's entry for this
+      // resource, if any, outranks it too.
+      if (full && !RankedBefore(cur, bar, split_started)) continue;
+      size_t j = 0;
+      while (j < kept.size() && kept[j].resource != r) ++j;
+      if (j < kept.size()) {
+        if (RankedBefore(cur, kept[j], split_started)) kept[j] = cur;
+      } else if (full) {
+        kept[worst] = cur;
+      } else {
+        // The board is reserved to kMaxBoundedTopC+1 in the constructor,
+        // so this never reallocates.
+        kept.push_back(cur);  // hotpath-alloc-ok: board reserved in ctor
+        full = kept.size() == top_c;
+      }
+      if (full) {
+        worst = 0;
+        for (size_t k = 1; k < kept.size(); ++k) {
+          if (RankedBefore(kept[worst], kept[k], split_started)) worst = k;
+        }
+        bar = kept[worst];
+      }
     }
     ResizeSlots(w);
     return;
@@ -717,8 +734,9 @@ void OnlineScheduler::RankScan(Chronon now, bool compute_values, size_t top_c,
     if (compute_values) {
       const ResourceId r = slot_resource_[i];
       if (eligible(r)) {
-        const Ranked cur{cand, value_of(i, cand, r), slot_finish_[i], r,
-                         split_started && cand.state->Started()};
+        const Chronon finish = slot_finish_[i];
+        const Ranked cur{cand, policy_->Value(cand, valued_at(finish, r)),
+                         finish, r, split_started && cand.state->Started()};
         const uint32_t at = best_at_[r];
         if (at >= merged_.size() || merged_[at].resource != r) {
           best_at_[r] = static_cast<uint32_t>(merged_.size());

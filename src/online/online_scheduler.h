@@ -460,7 +460,8 @@ class OnlineScheduler {
   void MarkFailed(const CandidateEi& cand);
   // Marks every still-live candidate whose window closes at `now` failed,
   // in activation order (draining its expiry bucket). Called after the
-  // capture sweep.
+  // capture sweep. Afterwards every uncaptured, unfailed EI of a live CEI
+  // ends after `now`: the invariant Policy::ValueFloor may rely on.
   void ProcessExpiries(Chronon now);
   // compact_terminal_states: schedules states_[index] (just turned
   // terminal) for reclamation at its release chronon — the last chronon at
@@ -491,7 +492,14 @@ class OnlineScheduler {
   //     the board's worst entry is skipped outright, so the per-resource
   //     table is never touched (a resource evicted or skipped that way is
   //     provably outside the top-C). At the paper's canonical C = 1 the
-  //     board is one running minimum.
+  //     board is one running minimum. Once the board is full a candidate is
+  //     first bounded: a finite Policy::ValueFloor above the worst entry's
+  //     value (same started class), or any finite floor for a fresh
+  //     candidate behind a started worst entry, skips its Value call. The
+  //     floors rest on an invariant of the scheduler: every uncaptured,
+  //     unfailed EI of a live CEI ends at or after `now` (ProcessExpiries
+  //     fails windows as they close, AddArrival those closed on arrival).
+  //     Debug builds check each skipping floor against Value.
   //   table (top_c == 0) — varying costs or large C: every eligible
   //     resource's best candidate, found through best_at_.
   // `check_attempted` is false when no resource was contacted before the

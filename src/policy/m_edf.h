@@ -22,6 +22,15 @@ class MEdfPolicy final : public Policy {
   std::string name() const override { return "M-EDF"; }
   Level level() const override { return Level::kMultiEi; }
   double Value(const CandidateEi& cand, Chronon now) const override;
+  /// While no sibling has failed: the candidate's own term finish - t + 1
+  /// plus 1 - (t - now) per other uncaptured sibling. Every such sibling
+  /// ends at or after `now` (the scheduler fails windows as they close),
+  /// so its term at t is at least that much; a sibling that has not
+  /// started by t contributes its full length, at least 1. A failed
+  /// sibling's term finish - t + 1 can be any negative number (k-of-n CEIs
+  /// outlive failures), so then there is no bound: -infinity.
+  double ValueFloor(const CandidateEi& cand, Chronon finish, Chronon t,
+                    Chronon now) const override;
 };
 
 }  // namespace webmon

@@ -1,9 +1,16 @@
 #include "policy/policy.h"
 
+#include <limits>
+
 namespace webmon {
 
 void Policy::BeginChronon(const std::vector<CandidateEi>& /*active*/,
                           Chronon /*now*/) {}
+
+double Policy::ValueFloor(const CandidateEi& /*cand*/, Chronon /*finish*/,
+                          Chronon /*t*/, Chronon /*now*/) const {
+  return -std::numeric_limits<double>::infinity();
+}
 
 void Policy::NotifyProbed(ResourceId /*resource*/, Chronon /*now*/) {}
 

@@ -64,6 +64,20 @@ class Policy {
   /// (enforced by const). NotifyProbed is invoked after ranking.
   virtual double Value(const CandidateEi& cand, Chronon now) const = 0;
 
+  /// A lower bound on Value(cand, t), cheap enough to test before Value:
+  /// the scan path's bounded top-C selection asks it once its board is
+  /// full and skips Value for a candidate whose floor already loses to the
+  /// board's worst entry (docs/PERFORMANCE.md "Top-C selection"). Called
+  /// during the rank phase of chronon `now` with a live candidate, its own
+  /// window end `finish` (== cand.ei().finish) and the chronon it is valued
+  /// at, now <= t <= finish (t exceeds now by its resource's fault
+  /// deadline shrink). It may rely on the scheduler invariant that every
+  /// uncaptured, unfailed EI of a live CEI has finish >= now, and must then
+  /// never exceed Value(cand, t) — a floor that does changes the schedule.
+  /// The default, -infinity, never skips a Value call.
+  virtual double ValueFloor(const CandidateEi& cand, Chronon finish,
+                            Chronon t, Chronon now) const;
+
   /// True iff Value(cand, now) is independent of `now` and changes only
   /// when cand.state's capture progress changes (e.g. MRSF's residual
   /// rank). With uniform costs and no fault injector the scheduler then

@@ -6,4 +6,9 @@ double SEdfPolicy::Value(const CandidateEi& cand, Chronon now) const {
   return static_cast<double>(SEdfValue(cand.ei(), now));
 }
 
+double SEdfPolicy::ValueFloor(const CandidateEi& /*cand*/, Chronon finish,
+                              Chronon t, Chronon /*now*/) const {
+  return static_cast<double>(finish - t + 1);
+}
+
 }  // namespace webmon

@@ -20,6 +20,9 @@ class SEdfPolicy final : public Policy {
   std::string name() const override { return "S-EDF"; }
   Level level() const override { return Level::kIndividualEi; }
   double Value(const CandidateEi& cand, Chronon now) const override;
+  /// Exact: finish - t + 1, read from the scheduler's cached window end.
+  double ValueFloor(const CandidateEi& cand, Chronon finish, Chronon t,
+                    Chronon now) const override;
 };
 
 }  // namespace webmon

@@ -12,6 +12,7 @@ void WicPolicy::BeginChronon(const std::vector<CandidateEi>& active,
     // resource.
     const ResourceId r = cand.ei().resource;
     if (r >= utility_.size()) utility_.resize(r + size_t{1}, 0);
+    // hotpath-alloc-ok: retained capacity
     if (utility_[r]++ == 0) touched_.push_back(r);
   }
 }

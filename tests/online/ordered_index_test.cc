@@ -29,6 +29,8 @@
 #include "policy/policy_factory.h"
 #include "util/rng.h"
 
+#include "../test_util.h"
+
 namespace webmon {
 namespace {
 
@@ -203,19 +205,6 @@ RunLog RunScheduler(const Config& config, const Shape& shape,
   return log;
 }
 
-// Every counter, none of the wall-clock phase seconds.
-auto Counters(const SchedulerStats& s) {
-  return std::make_tuple(
-      s.ceis_seen, s.ceis_captured, s.ceis_expired, s.ceis_cancelled,
-      s.cancels_noop, s.eis_seen, s.eis_captured, s.probes_issued,
-      s.pushes_delivered, s.drain_batches, s.drained_arrivals,
-      s.probes_failed, s.probes_retried, s.retry_budget_spent,
-      s.retries_suppressed, s.breaker_trips, s.budget_lost_to_failures,
-      s.incident_openings, s.incident_windows_detected,
-      s.incident_windows_missed, s.incident_chronons,
-      s.incident_probes_suppressed, s.incident_trial_probes);
-}
-
 void ExpectIdentical(const RunLog& index, const RunLog& scan,
                      const std::string& label) {
   EXPECT_EQ(index.steps, scan.steps) << label;
@@ -224,7 +213,8 @@ void ExpectIdentical(const RunLog& index, const RunLog& scan,
   EXPECT_EQ(index.diagnostics, scan.diagnostics) << label;
   EXPECT_EQ(index.lifecycles, scan.lifecycles) << label;
   EXPECT_EQ(index.schedule, scan.schedule) << label;
-  EXPECT_EQ(Counters(index.stats), Counters(scan.stats)) << label;
+  EXPECT_EQ(testing_util::StatsCounters(index.stats),
+            testing_util::StatsCounters(scan.stats)) << label;
 }
 
 class OrderedIndexIdentity
@@ -300,7 +290,9 @@ TEST(OrderedIndexIdentityLong, RebuildsAndRecycledStatesStayIdentical) {
 
 // The two paths differ where the policy can see it: the index values an EI
 // when it is admitted and again only when its CEI captures an EI, while
-// the scan values every live candidate at every chronon with budget.
+// the scan values every live candidate at every chronon with budget — for
+// a policy that keeps the default value floor, as the wrapper does, its
+// bounded board skips no Value call (and its debug check makes none).
 TEST(OrderedIndexPath, ValuesAnEiOnAdmissionAndWhenItsCeiCaptures) {
   // CEI 0 needs resources 0 and 1; CEIs 1..5 need one resource each, so
   // MRSF serves them first (residual 1 before 2), one per chronon.

@@ -65,6 +65,20 @@ inline Status AuditRun(const ProblemInstance& problem,
   return AuditSchedule(problem, schedule, options);
 }
 
+/// Every SchedulerStats counter, none of the wall-clock phase seconds: what
+/// two runs that must schedule identically agree on.
+inline auto StatsCounters(const SchedulerStats& s) {
+  return std::make_tuple(
+      s.ceis_seen, s.ceis_captured, s.ceis_expired, s.ceis_cancelled,
+      s.cancels_noop, s.eis_seen, s.eis_captured, s.probes_issued,
+      s.pushes_delivered, s.drain_batches, s.drained_arrivals,
+      s.probes_failed, s.probes_retried, s.retry_budget_spent,
+      s.retries_suppressed, s.breaker_trips, s.budget_lost_to_failures,
+      s.incident_openings, s.incident_windows_detected,
+      s.incident_windows_missed, s.incident_chronons,
+      s.incident_probes_suppressed, s.incident_trial_probes);
+}
+
 }  // namespace testing_util
 }  // namespace webmon
 

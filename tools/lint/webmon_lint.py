@@ -28,7 +28,8 @@ Rules:
              and silently exempts its file from the lock-discipline checks.
              Tests are exempt (they exercise the primitives directly).
   hotpath    Inside the Tick-phase hot functions of the online scheduler
-             (HOTPATH_FUNCTIONS below), no by-value construction of
+             and the policies' per-chronon hooks (HOTPATH_FUNCTIONS
+             below), no by-value construction of
              std::vector/std::map locals and no push_back/emplace_back
              without a `hotpath-alloc-ok:` justification comment on the
              same line or the line directly above. The steady-state
@@ -51,6 +52,7 @@ are printed as file:line: rule: message, one per line.
 """
 
 import argparse
+import fnmatch
 import os
 import re
 import sys
@@ -102,8 +104,10 @@ LINE_COMMENT = re.compile(r"//.*$")
 
 # --- Rule hotpath -----------------------------------------------------------
 # Per-chronon hot functions whose bodies must not construct containers or
-# grow them without an explicit justification. Keyed by repo-relative file;
-# the named methods are the ones on the OnlineScheduler::Step call path.
+# grow them without an explicit justification. Keyed by repo-relative file
+# pattern (fnmatch); the named methods are the ones on the
+# OnlineScheduler::Step call path, including the policy hooks the rank
+# phase calls once per chronon or once per candidate.
 HOTPATH_FUNCTIONS = {
     "src/online/online_scheduler.cc": {
         "Step", "RankScan", "Activate", "AdmitActive", "ProcessExpiries",
@@ -111,6 +115,7 @@ HOTPATH_FUNCTIONS = {
         "Capture", "IndexPush", "RebuildIndex", "SelectFromIndex",
         "RekeyCei", "CaptureSlots", "SweepSlots",
     },
+    "src/policy/*.cc": {"Value", "ValueFloor", "BeginChronon"},
 }
 HOTPATH_ALLOW = "hotpath-alloc-ok:"
 HOTPATH_GROW = re.compile(r"\.\s*(push_back|emplace_back)\s*\(")
@@ -145,7 +150,10 @@ def container_constructed_by_value(code, start):
 
 
 def check_hotpath(rel_path, lines):
-    functions = HOTPATH_FUNCTIONS.get(rel_path)
+    functions = set()
+    for pattern, names in HOTPATH_FUNCTIONS.items():
+        if fnmatch.fnmatchcase(rel_path, pattern):
+            functions |= names
     if not functions:
         return
     in_hot = False
