@@ -252,6 +252,7 @@ Status OnlineScheduler::AddArrival(const Cei* cei, Chronon now) {
       state_gen_.push_back(0);
       state_occupant_.push_back(0);
     }
+    if (options_.compact_terminal_states) release_at_.push_back(0);
   }
   CeiState* state = &states_[state_index];
   state->index = state_index;
@@ -266,12 +267,27 @@ Status OnlineScheduler::AddArrival(const Cei* cei, Chronon now) {
   // EIs whose windows have already closed on arrival count as failed; the
   // CEI is dead on arrival when the remaining EIs cannot satisfy it
   // (cannot happen for instances passing ProblemInstance::Validate, but
-  // the streaming Proxy may submit late).
-  for (uint32_t i = 0; i < cei->eis.size(); ++i) {
-    if (cei->eis[i].finish < now) {
-      state->failed[i] = true;
+  // the streaming Proxy may submit late). The same walk finds the last
+  // chronon at which a pending or expiry bucket may still reference the
+  // state: an EI starting inside the epoch sits in its finish bucket when
+  // its window closes inside the epoch, else only in its start bucket (EIs
+  // starting at or beyond the epoch end are never indexed). Whether each
+  // reference is later tombstoned, drained or skipped does not matter:
+  // after that chronon none can be read again.
+  Chronon held_until = 0;
+  for (uint32_t i = 0; i < state->num_eis; ++i) {
+    const ExecutionInterval& ei = cei->eis[i];
+    if (ei.finish < now) {
+      state->SetFailed(i);
       ++state->num_failed;
     }
+    if (ei.start < num_chronons_) {
+      held_until = std::max(
+          held_until, ei.finish < num_chronons_ ? ei.finish : ei.start);
+    }
+  }
+  if (options_.compact_terminal_states) {
+    release_at_[state_index] = std::min(held_until, num_chronons_ - 1);
   }
   if (state->BeyondRepair()) {
     state->dead = true;
@@ -280,14 +296,14 @@ Status OnlineScheduler::AddArrival(const Cei* cei, Chronon now) {
     // Dead on arrival: nothing was indexed, so the state is reclaimable as
     // soon as this chronon's step completes.
     retire_floor_ = now;
-    RetireTerminalState(state_index);
+    RetireTerminalState(*state);
     if (on_cei_expired_) on_cei_expired_(*cei);
     return Status::OK();
   }
 
   for (uint32_t i = 0; i < cei->eis.size(); ++i) {
     const ExecutionInterval& ei = cei->eis[i];
-    if (state->failed[i]) continue;
+    if (state->Failed(i)) continue;
     CandidateEi cand{state, i};
     if (ei.start <= now) {
       AdmitActive(cand, now);
@@ -363,7 +379,7 @@ Status OnlineScheduler::RemoveCei(CeiId id, Chronon now) {
   const auto keep = [](const CandidateEi& cand) { return cand.IsLive(); };
   for (const bool compact : {false, true}) {
     for (uint32_t i = 0; i < state->num_eis; ++i) {
-      if (state->captured[i] || state->failed[i]) continue;
+      if (state->Spent(i)) continue;
       const ExecutionInterval& ei = state->cei->eis[i];
       if (ei.start > last_step_ && ei.start > state->admitted_at) {
         // Parked in its start chronon's pending bucket: pushed there
@@ -398,7 +414,7 @@ Status OnlineScheduler::RemoveCei(CeiId id, Chronon now) {
   // release formula; the tombstone compaction above may already have
   // evicted some, which only makes the lingering references fewer).
   retire_floor_ = now;
-  RetireTerminalState(state_index);
+  RetireTerminalState(*state);
   if (on_cei_cancelled_) on_cei_cancelled_(*state->cei);
   return Status::OK();
 }
@@ -461,36 +477,25 @@ void OnlineScheduler::Activate(Chronon now) {
   });
 }
 
-void OnlineScheduler::RetireTerminalState(uint32_t index) {
+void OnlineScheduler::RetireTerminalState(const CeiState& s) {
   if (!options_.compact_terminal_states) return;
-  const CeiState& s = states_[index];
-  // Last chronon at which a pending/expiry bucket may still reference the
-  // state: an EI starting inside the epoch sits in its finish bucket when
-  // the window closes inside the epoch, else only in its start bucket.
-  // (EIs starting at or beyond the epoch end were never indexed.) Whether
-  // each individual reference was tombstoned away, drained, or skipped
-  // does not matter — after this chronon none can be read again.
-  Chronon release = retire_floor_;
-  for (const ExecutionInterval& ei : s.cei->eis) {
-    if (ei.start >= num_chronons_) continue;
-    const Chronon held_until =
-        ei.finish < num_chronons_ ? ei.finish : ei.start;
-    release = std::max(release, held_until);
-  }
-  if (release >= num_chronons_) release = num_chronons_ - 1;
-  retire_ring_.Push(release, index);
+  // release_at_ is already clamped to the epoch's last chronon; the floor
+  // reaches num_chronons_ when the last chronon's sweep retires a state.
+  const Chronon release = std::max(
+      std::min(retire_floor_, num_chronons_ - 1), release_at_[s.index]);
+  retire_ring_.Push(release, RetireItem{s.cei->id, s.index});
 }
 
 void OnlineScheduler::MarkFailed(const CandidateEi& cand) {
   if (!cand.IsLive()) return;
   CeiState& s = *cand.state;
-  s.failed[cand.ei_index] = true;
+  s.SetFailed(cand.ei_index);
   ++s.num_failed;
   if (s.BeyondRepair()) {
     s.dead = true;
     if (ordered_) state_gen_[s.index] |= 1;
     ++stats_.ceis_expired;
-    RetireTerminalState(s.index);
+    RetireTerminalState(s);
     if (on_cei_expired_) on_cei_expired_(*s.cei);
   }
 }
@@ -804,14 +809,14 @@ bool OnlineScheduler::Capture(const CandidateEi& cand, Chronon now) {
   // A capture is only legal inside the EI's window [T_s, T_f].
   WEBMON_DCHECK(cand.ei().Contains(now))
       << "capturing EI " << cand.ei().ToString() << " outside its window";
-  s.captured[cand.ei_index] = true;
+  s.SetCaptured(cand.ei_index);
   ++s.num_captured;
   ++stats_.eis_captured;
   if (ordered_) state_gen_[s.index] += 2;
   if (!s.Complete()) return false;
   if (ordered_) state_gen_[s.index] |= 1;
   ++stats_.ceis_captured;
-  RetireTerminalState(s.index);
+  RetireTerminalState(s);
   if (on_cei_captured_) on_cei_captured_(*s.cei);
   return true;
 }
@@ -867,7 +872,7 @@ void OnlineScheduler::SelectFromIndex(Chronon now, size_t top_c) {
 void OnlineScheduler::RekeyCei(uint32_t state, Chronon now) {
   CeiState& s = states_[state];
   for (uint32_t i = 0; i < s.num_eis; ++i) {
-    if (s.captured[i] || s.failed[i]) continue;
+    if (s.Spent(i)) continue;
     const ExecutionInterval& ei = s.cei->eis[i];
     // A window closing now is spent: captured now or failed after the
     // sweep. Indexed iff activated: every EI starting by now was admitted
@@ -1179,10 +1184,12 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
   // structure that could reference them has provably let go (the rank
   // pass above pruned their slot entries, their ring buckets have all
   // passed), so the slot can host a later arrival and the id mapping can
-  // shrink. Empty unless compact_terminal_states is on.
-  retire_ring_.Drain(now, [this](uint32_t index) {
-    cei_index_.Erase(states_[index].cei->id);
-    free_states_.push_back(index);  // hotpath-alloc-ok: retained capacity
+  // shrink. Each item carries the id and the slot, so the drain reads
+  // neither the state nor the Cei. Empty unless compact_terminal_states is
+  // on.
+  retire_ring_.Drain(now, [this](const RetireItem& item) {
+    cei_index_.Erase(item.id);
+    free_states_.push_back(item.slot);  // hotpath-alloc-ok: retained capacity
   });
 
   if (probed) *probed = r_ids_scratch_;

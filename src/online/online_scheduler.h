@@ -434,6 +434,12 @@ class OnlineScheduler {
                            const ResourceGate&) = default;
   };
   static_assert(sizeof(ResourceGate) <= 8);
+  // A terminal state awaiting reclamation: the id to unmap and the
+  // states_ slot to free.
+  struct RetireItem {
+    CeiId id = 0;
+    uint32_t slot = 0;
+  };
   // Largest uniform budget served by the table-free bounded top-C path; a
   // C-entry scan board stops beating the per-resource table somewhere
   // beyond this.
@@ -463,19 +469,19 @@ class OnlineScheduler {
   // capture sweep. Afterwards every uncaptured, unfailed EI of a live CEI
   // ends after `now`: the invariant Policy::ValueFloor may rely on.
   void ProcessExpiries(Chronon now);
-  // compact_terminal_states: schedules states_[index] (just turned
-  // terminal) for reclamation at its release chronon — the last chronon at
-  // which any event-ring bucket may still hold a reference to the state
-  // (max over its EIs with start < K of: finish when finish < K, else
-  // start), floored by retire_floor_ (set by the terminal site to the
-  // first chronon whose rank pass has provably pruned the state's
-  // slot-column entries; the ordered path keeps the same floor, though its
-  // slot entries and index entries are screened by the occupant and
-  // generation words and so hold nothing). The retire ring drains at the
-  // END of Step(release), after every structure that could reach the state
-  // has let go, so slot reuse by a later arrival can never resurrect a
-  // stale reference. No-op unless the option is on.
-  void RetireTerminalState(uint32_t index);
+  // compact_terminal_states: schedules `s` (just turned terminal) for
+  // reclamation at its release chronon, in O(1): release_at_[s.index] (the
+  // last chronon at which any event-ring bucket may still hold a reference
+  // to the state, fixed by AddArrival), floored by retire_floor_ (set by
+  // the terminal site to the first chronon whose rank pass has provably
+  // pruned the state's slot-column entries; the ordered path keeps the
+  // same floor, though its slot entries and index entries are screened by
+  // the occupant and generation words and so hold nothing), clamped to the
+  // epoch. The retire ring drains at the END of Step(release), after every
+  // structure that could reach the state has let go, so slot reuse by a
+  // later arrival can never resurrect a stale reference. No-op unless the
+  // option is on.
+  void RetireTerminalState(const CeiState& s);
   // Scan path: copies slot `from` over slot `to` in every column
   // (compaction).
   void MoveSlot(size_t to, size_t from);
@@ -612,10 +618,11 @@ class OnlineScheduler {
   Policy* policy_;
   SchedulerOptions options_;
 
-  // Owned CEI scheduling states. A deque so pointers stay stable (we never
-  // erase) while states of CEIs that arrived together stay contiguous —
-  // the ranking scan visits slots in activation order, so neighboring
-  // liveness checks hit the same cache lines.
+  // Owned CEI scheduling states, one 64-byte cache line each (CeiState). A
+  // deque so pointers stay stable (we never erase) while states of CEIs
+  // that arrived together stay contiguous — the ranking scan visits slots
+  // in activation order, so neighboring liveness checks walk adjacent
+  // lines.
   std::deque<CeiState> states_;
   // CeiId -> index into states_, maintained by AddArrival and looked up by
   // RemoveCei / LifecycleOf. Flat open addressing with backward-shift
@@ -681,15 +688,21 @@ class OnlineScheduler {
   EventRing<CandidateEi> pending_ring_;
   // push_ring_[t] = resources whose servers push at chronon t.
   EventRing<ResourceId> push_ring_;
-  // retire_ring_[t] = states_ indices of terminal CEIs whose last possible
-  // reference expires at t; drained at the end of Step(t) into free_states_
-  // (compact_terminal_states only — otherwise never pushed to).
-  EventRing<uint32_t> retire_ring_;
+  // retire_ring_[t] = terminal CEIs whose last possible reference expires
+  // at t; drained at the end of Step(t), which unmaps each id and frees
+  // its slot into free_states_ (compact_terminal_states only — otherwise
+  // never pushed to).
+  EventRing<RetireItem> retire_ring_;
   // Ordered path: slots_[SlotBucket(r)] holds the slot entries of EIs on
   // resource r (among others). No buckets on the scan path.
   EventRing<SlotEntry> slots_;
   // Recycled states_ slots awaiting reuse by AddArrival.
   std::vector<uint32_t> free_states_;
+  // compact_terminal_states only (empty otherwise): release_at_[i] is the
+  // last chronon at which a pending or expiry bucket may reference
+  // states_[i]'s CEI, clamped to the epoch. AddArrival writes it while it
+  // walks the EIs, so retiring the state reads neither the Cei nor its EIs.
+  std::vector<Chronon> release_at_;
   // Floor for the next RetireTerminalState's release chronon (see above).
   Chronon retire_floor_ = 0;
 

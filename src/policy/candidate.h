@@ -3,48 +3,52 @@
 // At chronon T_j the proxy holds a set of candidate CEIs, cands(eta) —
 // those that arrived at or before T_j and are neither fully captured nor
 // dead — and the bag of their EIs, cands(I) (paper Section IV, Appendix A).
-// CeiState tracks, per candidate CEI, which of its EIs have been captured so
-// far; CandidateEi is a cheap handle to one EI of one candidate CEI.
+// CeiState tracks, per candidate CEI, which of its EIs have been captured or
+// have failed so far; CandidateEi is a cheap handle to one EI of one
+// candidate CEI.
 
 #ifndef WEBMON_POLICY_CANDIDATE_H_
 #define WEBMON_POLICY_CANDIDATE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "model/cei.h"
 #include "util/check.h"
-#include "util/small_bitset.h"
 
 namespace webmon {
 
 /// Mutable per-CEI scheduling state. Owned by the online scheduler; policies
 /// only read it.
 ///
-/// Layout matters here: the scheduler's ranking pass tests liveness for
-/// every active EI every chronon, so the hot fields (counts, dead flag, the
-/// capture/failure bit words for ranks <= 64) are plain inline members that
-/// land together, RequiredCaptures()/eis.size() are memoized at construction
-/// (the Cei is immutable), and the per-EI flags are SmallBitsets instead of
-/// heap-backed vector<bool>s (docs/PERFORMANCE.md "Memory & sustained
+/// Layout matters here: the rank scan reads the state of every live
+/// candidate EI every chronon, so everything IsLive, Complete, Started,
+/// BeyondRepair, the policies' value floors and M-EDF's Value read of the
+/// state shares one 64-byte cache line: the 32-bit counters (memoized at
+/// construction, the Cei is immutable), the flags, and the capture and
+/// failure words of EIs 0-63. A CEI wider than 64 EIs keeps both sets'
+/// words beyond EI 63 in one owned spill block, allocated at construction
+/// and only for such CEIs (docs/PERFORMANCE.md "Memory & sustained
 /// throughput").
-struct CeiState {
-  explicit CeiState(const Cei* cei_def)
-      : cei((WEBMON_CHECK(cei_def != nullptr), cei_def)),
-        required_captures(cei_def->RequiredCaptures()),
-        num_eis(cei_def->eis.size()),
-        captured(cei_def->eis.size()),
-        failed(cei_def->eis.size()) {}
+struct alignas(64) CeiState {
+  explicit CeiState(const Cei* cei_def);
+  CeiState(const CeiState& other);
+  CeiState& operator=(const CeiState& other);
+  /// A moved-from state may only be assigned to or destroyed.
+  CeiState(CeiState&& other) noexcept = default;
+  CeiState& operator=(CeiState&& other) noexcept = default;
 
   /// The immutable CEI definition.
   const Cei* cei;
-  /// Running count of captured EIs (== count of true in `captured`).
-  size_t num_captured = 0;
-  /// Running count of failed EIs (== count of true in `failed`).
-  size_t num_failed = 0;
+  /// Running count of captured EIs (== number of Captured(i)).
+  uint32_t num_captured = 0;
+  /// Running count of failed EIs (== number of Failed(i)).
+  uint32_t num_failed = 0;
   /// Memoized cei->RequiredCaptures() (the Cei never changes).
-  size_t required_captures;
+  uint32_t required_captures;
   /// Memoized cei->eis.size().
-  size_t num_eis;
+  uint32_t num_eis;
   /// Set when the CEI can no longer be satisfied: more EIs failed than the
   /// subset semantics tolerate, or the client cancelled it mid-epoch.
   bool dead = false;
@@ -54,17 +58,27 @@ struct CeiState {
   bool cancelled = false;
   /// The scheduler's position of this state in its state table. Scheduler
   /// bookkeeping: the ordered candidate index keys its per-state generation
-  /// words by it.
+  /// words by it, and terminal-state reclamation its release chronons.
   uint32_t index = 0;
   /// The chronon the scheduler registered this CEI at (AddArrival's `now`).
   /// Scheduler bookkeeping: cancellation uses it to tell whether an EI was
   /// admitted straight to the active index (start <= admitted_at) or parked
   /// in its start chronon's pending bucket.
   Chronon admitted_at = 0;
-  /// captured[i] == true iff cei->eis[i] has been captured.
-  SmallBitset captured;
-  /// failed[i] == true iff cei->eis[i]'s window expired uncaptured.
-  SmallBitset failed;
+
+  /// True iff cei->eis[i] has been captured.
+  bool Captured(uint32_t i) const {
+    return (Word(kCaptured, i) & Bit(i)) != 0;
+  }
+  /// True iff cei->eis[i]'s window expired uncaptured.
+  bool Failed(uint32_t i) const { return (Word(kFailed, i) & Bit(i)) != 0; }
+  /// True iff cei->eis[i] is captured or failed.
+  bool Spent(uint32_t i) const {
+    return ((Word(kCaptured, i) | Word(kFailed, i)) & Bit(i)) != 0;
+  }
+  /// Set the bit only; the caller keeps num_captured / num_failed.
+  void SetCaptured(uint32_t i) { MutableWord(kCaptured, i) |= Bit(i); }
+  void SetFailed(uint32_t i) { MutableWord(kFailed, i) |= Bit(i); }
 
   /// True iff enough EIs are captured to satisfy the CEI (all of them under
   /// the paper's baseline AND semantics; `required` of them under the
@@ -86,7 +100,29 @@ struct CeiState {
   bool BeyondRepair() const {
     return num_eis - num_failed < required_captures;
   }
+
+ private:
+  enum BitSet : uint32_t { kCaptured = 0, kFailed = 1 };
+  static uint64_t Bit(uint32_t i) { return uint64_t{1} << (i & 63); }
+  // Words per set beyond the inline one.
+  size_t SpillWords() const { return (num_eis - 1) / 64; }
+  uint64_t Word(BitSet set, uint32_t i) const {
+    WEBMON_DCHECK_LT(i, num_eis);
+    return i < 64 ? words_[set] : spill_[set * SpillWords() + (i >> 6) - 1];
+  }
+  uint64_t& MutableWord(BitSet set, uint32_t i) {
+    WEBMON_DCHECK_LT(i, num_eis);
+    return i < 64 ? words_[set] : spill_[set * SpillWords() + (i >> 6) - 1];
+  }
+
+  // The capture and failure words of EIs 0-63.
+  uint64_t words_[2] = {0, 0};
+  // CEIs wider than 64 EIs only: the capture words beyond the inline one,
+  // then the failure words, SpillWords() each.
+  std::unique_ptr<uint64_t[]> spill_;
 };
+static_assert(sizeof(CeiState) == 64, "CeiState must fill one cache line");
+static_assert(alignof(CeiState) == 64, "CeiState must start a cache line");
 
 /// Handle to one EI of one candidate CEI.
 struct CandidateEi {
@@ -98,15 +134,14 @@ struct CandidateEi {
     WEBMON_DCHECK_LT(ei_index, state->cei->eis.size());
     return state->cei->eis[ei_index];
   }
-  bool IsCaptured() const { return state->captured[ei_index]; }
+  bool IsCaptured() const { return state->Captured(ei_index); }
 
   /// True iff this candidate may still be probed some chronon: its CEI is
   /// live and unsatisfied, the EI itself uncaptured and unfailed. The
   /// scheduler marks EIs failed as their windows close, so for an entry of
   /// the active list liveness needs no window check.
   bool IsLive() const {
-    return !state->dead && !state->Complete() && !state->captured[ei_index] &&
-           !state->failed[ei_index];
+    return !state->dead && !state->Complete() && !state->Spent(ei_index);
   }
 
   /// True iff this candidate may legally be probed at chronon `now`: it is

@@ -7,8 +7,8 @@ namespace webmon {
 double MEdfPolicy::Value(const CandidateEi& cand, Chronon now) const {
   const CeiState& state = *cand.state;
   Chronon total = 0;
-  for (size_t i = 0; i < state.cei->eis.size(); ++i) {
-    if (state.captured[i]) continue;
+  for (uint32_t i = 0; i < state.num_eis; ++i) {
+    if (state.Captured(i)) continue;
     total += MEdfSiblingValue(state.cei->eis[i], now);
   }
   return static_cast<double>(total);

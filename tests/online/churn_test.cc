@@ -333,9 +333,9 @@ NaiveChurnResult RunNaiveWithChurn(const ProblemInstance& problem,
 
   for (Chronon t = 0; t < k; ++t) {
     for (auto& state : states) {
-      size_t failed = 0;
-      for (size_t i = 0; i < state->cei->eis.size(); ++i) {
-        if (!state->captured[i] && state->cei->eis[i].finish < t) ++failed;
+      uint32_t failed = 0;
+      for (uint32_t i = 0; i < state->num_eis; ++i) {
+        if (!state->Captured(i) && state->cei->eis[i].finish < t) ++failed;
       }
       state->num_failed = failed;
       if (state->cei->eis.size() - failed <
@@ -362,7 +362,7 @@ NaiveChurnResult RunNaiveWithChurn(const ProblemInstance& problem,
       }
       for (uint32_t i = 0; i < state->cei->eis.size(); ++i) {
         const ExecutionInterval& ei = state->cei->eis[i];
-        if (state->captured[i]) continue;
+        if (state->Captured(i)) continue;
         if (ei.start <= t && t <= ei.finish) {
           active.push_back({state.get(), i});
         }
@@ -411,9 +411,9 @@ NaiveChurnResult RunNaiveWithChurn(const ProblemInstance& problem,
 
     for (const CandidateEi& cand : active) {
       CeiState& s = *cand.state;
-      if (s.Complete() || s.captured[cand.ei_index]) continue;
+      if (s.Complete() || s.Captured(cand.ei_index)) continue;
       if (!probed[cand.ei().resource]) continue;
-      s.captured[cand.ei_index] = true;
+      s.SetCaptured(cand.ei_index);
       ++s.num_captured;
     }
   }

@@ -145,7 +145,8 @@ TEST_F(PaperExample2, UnderlyingValues) {
   const Cei& cei1 = problem.profiles()[0].ceis[0];
   const Cei& cei2 = problem.profiles()[1].ceis[0];
   CeiState s1(&cei1);
-  s1.captured[0] = s1.captured[1] = true;
+  s1.SetCaptured(0);
+  s1.SetCaptured(1);
   s1.num_captured = 2;
   CeiState s2(&cei2);
 

@@ -59,11 +59,12 @@ TEST(CeiStateTest, TracksCapturesAndResidual) {
   EXPECT_FALSE(state.Started());
   EXPECT_FALSE(state.Complete());
   EXPECT_EQ(state.Residual(), 3u);
-  state.captured[0] = true;
+  state.SetCaptured(0);
   state.num_captured = 1;
   EXPECT_TRUE(state.Started());
   EXPECT_EQ(state.Residual(), 2u);
-  state.captured[1] = state.captured[2] = true;
+  state.SetCaptured(1);
+  state.SetCaptured(2);
   state.num_captured = 3;
   EXPECT_TRUE(state.Complete());
 }
@@ -84,7 +85,7 @@ TEST(MrsfPolicyTest, ValueIsResidualEiCount) {
   MrsfPolicy policy;
   CandidateEi cand{&state, 0};
   EXPECT_DOUBLE_EQ(policy.Value(cand, 0), 4.0);
-  state.captured[1] = true;
+  state.SetCaptured(1);
   state.num_captured = 1;
   EXPECT_DOUBLE_EQ(policy.Value(cand, 0), 3.0);
   EXPECT_EQ(policy.level(), Policy::Level::kRank);
@@ -98,7 +99,7 @@ TEST(MEdfPolicyTest, SumsUncapturedSiblingChronons) {
   // At chronon 10: 5 (active) + 6 + 5 + 6 (full lengths) = 22.
   EXPECT_DOUBLE_EQ(policy.Value(cand, 10), 22.0);
   // Capturing a sibling removes its term.
-  state.captured[3] = true;
+  state.SetCaptured(3);
   state.num_captured = 1;
   EXPECT_DOUBLE_EQ(policy.Value(cand, 10), 16.0);
   EXPECT_EQ(policy.level(), Policy::Level::kMultiEi);
@@ -241,12 +242,12 @@ FloorCase RandomFloorCase(Rng& rng) {
 
 CeiState StateFor(const FloorCase& c) {
   CeiState state(&c.cei);
-  for (size_t i = 0; i < c.kinds.size(); ++i) {
+  for (uint32_t i = 0; i < c.kinds.size(); ++i) {
     if (c.kinds[i] == 1) {
-      state.captured[i] = true;
+      state.SetCaptured(i);
       ++state.num_captured;
     } else if (c.kinds[i] == 2) {
-      state.failed[i] = true;
+      state.SetFailed(i);
       ++state.num_failed;
     }
   }
@@ -310,7 +311,7 @@ TEST(ValueFloorTest, MEdfFloorIsExactWhenEverySiblingCountsDownFromNow) {
   EXPECT_DOUBLE_EQ(policy.ValueFloor(cand, 9, 7, 5), 1.0);
   EXPECT_DOUBLE_EQ(policy.Value(cand, 7), 1.0);
   // A failed sibling leaves no bound.
-  state.failed[1] = true;
+  state.SetFailed(1);
   state.num_failed = 1;
   EXPECT_EQ(policy.ValueFloor(cand, 9, 5, 5),
             -std::numeric_limits<double>::infinity());

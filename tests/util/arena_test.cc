@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "util/event_ring.h"
-#include "util/small_bitset.h"
 
 namespace webmon {
 namespace {
@@ -203,43 +202,6 @@ TEST(EventRingTest, VisitorMayPushDuringDrain) {
   ASSERT_EQ(rearmed.size(), 100u);
   EXPECT_EQ(rearmed[0], 2000);
   EXPECT_EQ(rearmed[99], 2099);
-}
-
-TEST(SmallBitsetTest, InlineSetTestAndProxyAssignment) {
-  SmallBitset bits(10);
-  EXPECT_EQ(bits.size(), 10u);
-  for (size_t i = 0; i < 10; ++i) EXPECT_FALSE(bits[i]);
-  bits[0] = bits[7] = true;  // chained proxy assignment, vector<bool> style
-  bits.Set(3, true);
-  EXPECT_TRUE(bits[0]);
-  EXPECT_TRUE(bits.Test(3));
-  EXPECT_TRUE(bits[7]);
-  EXPECT_FALSE(bits[6]);
-  bits[7] = false;
-  EXPECT_FALSE(bits[7]);
-}
-
-TEST(SmallBitsetTest, SpillsBeyond64Bits) {
-  SmallBitset bits(200);
-  const size_t probes[] = {0, 63, 64, 127, 128, 199};
-  for (size_t i : probes) bits[i] = true;
-  for (size_t i : probes) EXPECT_TRUE(bits[i]) << i;
-  EXPECT_FALSE(bits[65]);
-  EXPECT_FALSE(bits[198]);
-  bits[64] = false;
-  EXPECT_FALSE(bits[64]);
-  EXPECT_TRUE(bits[63]);
-  EXPECT_TRUE(bits[127]);
-}
-
-TEST(SmallBitsetTest, CopySemantics) {
-  SmallBitset a(70);
-  a[69] = true;
-  SmallBitset b = a;
-  EXPECT_TRUE(b[69]);
-  b[69] = false;
-  EXPECT_TRUE(a[69]);  // value semantics: copies are independent
-  EXPECT_FALSE(b[69]);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "util/zipf.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,48 @@ TEST(ZipfTest, RejectsZeroN) {
 
 TEST(ZipfTest, RejectsNegativeTheta) {
   EXPECT_FALSE(ZipfSampler::Create(10, -0.1).ok());
+}
+
+TEST(ZipfTest, RejectsNanTheta) {
+  EXPECT_FALSE(
+      ZipfSampler::Create(10, std::numeric_limits<double>::quiet_NaN()).ok());
+}
+
+// The guide table only narrows the search: every variate must map to
+// exactly what std::lower_bound over the whole CDF returns, also at the
+// CDF's own entries and at the guide buckets' edges.
+TEST(ZipfTest, GuideTableMatchesFullBinarySearch) {
+  for (const uint32_t n : {1u, 2u, 1000u, 200000u, 1000000u}) {
+    for (const double theta : {0.0, 0.3, 0.8, 1.2}) {
+      auto sampler = ZipfSampler::Create(n, theta);
+      ASSERT_TRUE(sampler.ok());
+      const std::vector<double>& cdf = sampler->cdf();
+      ASSERT_EQ(cdf.size(), n);
+      int mismatches = 0;
+      const auto check = [&](double u) {
+        const auto want = static_cast<uint32_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin() + 1);
+        if (sampler->SampleAt(u) != want && ++mismatches <= 5) {
+          ADD_FAILURE() << "n " << n << " theta " << theta << " u " << u
+                        << ": " << sampler->SampleAt(u) << " vs " << want;
+        }
+      };
+      Rng rng(n * 31 + static_cast<uint64_t>(theta * 10));
+      for (int i = 0; i < 100000; ++i) {
+        Rng copy = rng;
+        const double u = rng.UniformDouble();
+        check(u);
+        // Sample draws the same variate.
+        const auto want = static_cast<uint32_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin() + 1);
+        if (sampler->Sample(copy) != want) ++mismatches;
+      }
+      for (const double c : cdf) check(c);
+      for (uint32_t b = 0; b <= 1024; ++b) check(b / 1024.0);
+      for (uint32_t b = 0; b <= 32768; b += 7) check(b / 32768.0);
+      EXPECT_EQ(mismatches, 0) << "n " << n << " theta " << theta;
+    }
+  }
 }
 
 TEST(ZipfTest, ThetaZeroIsUniform) {

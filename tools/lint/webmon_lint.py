@@ -111,9 +111,9 @@ LINE_COMMENT = re.compile(r"//.*$")
 HOTPATH_FUNCTIONS = {
     "src/online/online_scheduler.cc": {
         "Step", "RankScan", "Activate", "AdmitActive", "ProcessExpiries",
-        "MarkFailed", "MoveSlot", "ResizeSlots", "IssueProbe", "RecordProbe",
-        "Capture", "IndexPush", "RebuildIndex", "SelectFromIndex",
-        "RekeyCei", "CaptureSlots", "SweepSlots",
+        "MarkFailed", "RetireTerminalState", "MoveSlot", "ResizeSlots",
+        "IssueProbe", "RecordProbe", "Capture", "IndexPush", "RebuildIndex",
+        "SelectFromIndex", "RekeyCei", "CaptureSlots", "SweepSlots",
     },
     "src/policy/*.cc": {"Value", "ValueFloor", "BeginChronon"},
 }
