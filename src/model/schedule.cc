@@ -66,6 +66,11 @@ Status Schedule::AddProbe(ResourceId resource, Chronon t) {
   return Status::OK();
 }
 
+void Schedule::ReserveProbesAt(Chronon t, size_t n) {
+  if (t < 0 || t >= num_chronons_) return;
+  by_chronon_[static_cast<size_t>(t)].reserve(n);
+}
+
 bool Schedule::Probed(ResourceId resource, Chronon t) const {
   if (resource >= num_resources_ || t < 0 || t >= num_chronons_) return false;
   const auto& probes = by_resource_[resource];

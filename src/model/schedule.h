@@ -4,6 +4,7 @@
 #ifndef WEBMON_MODEL_SCHEDULE_H_
 #define WEBMON_MODEL_SCHEDULE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -56,6 +57,10 @@ class Schedule {
   /// same (resource, chronon) twice is a no-op and returns AlreadyExists.
   /// Fails with OutOfRange for coordinates outside the instance.
   Status AddProbe(ResourceId resource, Chronon t);
+
+  /// Makes room for `n` probes at chronon `t` (no-op outside the
+  /// instance), so recording them grows that chronon's list at most once.
+  void ReserveProbesAt(Chronon t, size_t n);
 
   /// True iff `resource` is probed exactly at chronon `t`.
   bool Probed(ResourceId resource, Chronon t) const;

@@ -1108,6 +1108,14 @@ Status OnlineScheduler::Step(Chronon now, Schedule* schedule,
     }
 #endif
 
+    // With uniform costs the chronon records at most min(C, trials +
+    // ranked resources) probes: with room for them, the schedule's list for
+    // this chronon grows once instead of at every doubling.
+    if (schedule != nullptr && uniform_costs) {
+      schedule->ReserveProbesAt(
+          now, std::min(static_cast<size_t>(budget),
+                        r_ids_scratch_.size() + merged_.size()));
+    }
     // With uniform costs every probe consumes one budget unit; with the
     // varying-cost extension, probing r consumes resource_costs[r] of the
     // chronon's cost capacity and cheaper candidates further down the

@@ -70,6 +70,9 @@ std::optional<Proxy::PendingEvent> Proxy::MakeSubmitEventLocked(
   cei.arrival = epoch;
   cei.weight = weight;
   cei.required = required;
+  // hotpath-alloc-ok: the CEI's one window vector, sized exactly
+  cei.eis.reserve(eis.size());
+  bool clamped = false;
   for (const auto& [resource, start, finish] : eis) {
     if (resource >= num_resources_) {
       return reject(Status::InvalidArgument(
@@ -88,25 +91,31 @@ std::optional<Proxy::PendingEvent> Proxy::MakeSubmitEventLocked(
       return reject(Status::InvalidArgument(
           "EI window lies entirely in the past or beyond the horizon"));
     }
-    cei.eis.push_back(ei);
+    clamped = clamped || ei.start != start || ei.finish != finish;
+    cei.eis.push_back(ei);  // hotpath-alloc-ok: reserved above
   }
   // Commit: ids are assigned only to accepted needs, so id allocation is
   // a pure function of the accepted-arrival order and a serial replay
   // re-assigns identical CeiIds and EiIds.
   cei.id = next_cei_id_++;
   for (ExecutionInterval& ei : cei.eis) ei.id = next_ei_id_++;
+  // hotpath-alloc-ok: one deque block per several CEIs
   ceis_.push_back(std::move(cei));
   const Cei* stored = &ceis_.back();
   id = stored->id;
-  cancel_requested_.push_back(0);
+  cancel_requested_.push_back(0);  // hotpath-alloc-ok: amortized growth
   ++ingestion_.submits_accepted;
+  // The log reads an unclamped submit's windows back from its Cei; only a
+  // clamped one keeps the windows the producer passed.
+  if (clamped) {
+    for (const auto& [resource, start, finish] : eis) {
+      // hotpath-alloc-ok: clamped submits only, amortized growth
+      raw_windows_.push_back(RawWindow{id, resource, start, finish});
+    }
+  }
   PendingEvent event;
+  event.kind = ArrivalKind::kSubmit;
   event.cei = stored;
-  event.log.kind = ArrivalKind::kSubmit;
-  event.log.eis = eis;
-  event.log.weight = weight;
-  event.log.required = required;
-  event.log.assigned_id = id;
   return event;
 }
 
@@ -134,8 +143,8 @@ std::optional<Proxy::PendingEvent> Proxy::MakePushEventLocked(
   }
   ++ingestion_.pushes_accepted;
   PendingEvent event;
-  event.log.kind = ArrivalKind::kPush;
-  event.log.resource = resource;
+  event.kind = ArrivalKind::kPush;
+  event.resource = resource;
   return event;
 }
 
@@ -175,8 +184,8 @@ std::optional<Proxy::PendingEvent> Proxy::MakeCancelEventLocked(
   cancel_requested_[id] = 1;
   ++ingestion_.cancels_accepted;
   PendingEvent event;
-  event.log.kind = ArrivalKind::kCancel;
-  event.log.assigned_id = id;
+  event.kind = ArrivalKind::kCancel;
+  event.target = id;
   return event;
 }
 
@@ -207,21 +216,21 @@ StatusOr<std::vector<ResourceId>> Proxy::Tick() {
   // Every drained event was stamped exactly `now`, and applying the batch
   // in sequence order makes the tick a pure function of the arrival log.
   Stopwatch drain_watch;
-  auto batch = mailbox_.DrainAndAdvance(now + 1);
-  if (!batch.empty()) {
+  mailbox_.DrainAndAdvance(now + 1, drain_batch_);
+  if (!drain_batch_.empty()) {
     drain_ceis_.clear();
     drain_cancels_.clear();
-    for (auto& entry : batch) {
+    for (const Record& entry : drain_batch_) {
       WEBMON_DCHECK(entry.epoch == now)
           << "mailbox entry stamped " << entry.epoch << " drained at " << now;
-      entry.item.log.seq = entry.seq;
-      entry.item.log.effective = entry.epoch;
-      switch (entry.item.log.kind) {
+      switch (entry.item.kind) {
         case ArrivalKind::kSubmit:
+          // hotpath-alloc-ok: drain scratch, retained capacity
           drain_ceis_.push_back(entry.item.cei);
           break;
         case ArrivalKind::kCancel:
-          drain_cancels_.push_back(entry.item.log.assigned_id);
+          // hotpath-alloc-ok: drain scratch, retained capacity
+          drain_cancels_.push_back(entry.item.target);
           break;
         case ArrivalKind::kPush:
           break;
@@ -236,12 +245,15 @@ StatusOr<std::vector<ResourceId>> Proxy::Tick() {
     // resources for this chronon's Step, which reads them after both.
     WEBMON_RETURN_IF_ERROR(scheduler_.AddArrivalBatch(drain_ceis_, now));
     WEBMON_RETURN_IF_ERROR(scheduler_.RemoveCeiBatch(drain_cancels_, now));
-    for (auto& entry : batch) {
-      if (entry.item.log.kind == ArrivalKind::kPush) {
-        WEBMON_RETURN_IF_ERROR(
-            scheduler_.AddPush(entry.item.log.resource, now));
+    for (const Record& entry : drain_batch_) {
+      if (entry.item.kind == ArrivalKind::kPush) {
+        WEBMON_RETURN_IF_ERROR(scheduler_.AddPush(entry.item.resource, now));
       }
-      arrival_log_.push_back(std::move(entry.item.log));
+      if (num_records_ == record_blocks_.size() * kRecordsPerBlock) {
+        // hotpath-alloc-ok: one block per kRecordsPerBlock records
+        record_blocks_.push_back(std::make_unique<Record[]>(kRecordsPerBlock));
+      }
+      record_blocks_.back()[num_records_++ % kRecordsPerBlock] = entry;
     }
   }
   // Fold the drain stats in under the mailbox lock: producers bump the
@@ -250,18 +262,70 @@ StatusOr<std::vector<ResourceId>> Proxy::Tick() {
   {
     const double drain_elapsed = drain_watch.ElapsedSeconds();
     MutexLock lock(mailbox_.mu());
-    if (!batch.empty()) {
+    if (!drain_batch_.empty()) {
       ++ingestion_.drain_batches;
-      ingestion_.max_batch =
-          std::max(ingestion_.max_batch, static_cast<int64_t>(batch.size()));
+      ingestion_.max_batch = std::max(
+          ingestion_.max_batch, static_cast<int64_t>(drain_batch_.size()));
     }
     ingestion_.drain_seconds += drain_elapsed;
   }
 
+  // hotpath-alloc-ok: the returned probe vector, one allocation per Tick
   std::vector<ResourceId> probed;
   WEBMON_RETURN_IF_ERROR(scheduler_.Step(now, &schedule_, &probed));
   now_.store(now + 1, std::memory_order_release);
   return probed;
+}
+
+ArrivalLog Proxy::BuildArrivalLogLocked() const {
+  ArrivalLog log(num_records_);
+  // Submits appear in id order both here and in raw_windows_, so one
+  // cursor pairs each clamped submit with its raw windows.
+  size_t raw = 0;
+  for (size_t i = 0; i < num_records_; ++i) {
+    const Record& record =
+        record_blocks_[i / kRecordsPerBlock][i % kRecordsPerBlock];
+    ArrivalEvent& event = log[i];
+    event.seq = record.seq;
+    event.effective = record.epoch;
+    event.kind = record.item.kind;
+    switch (record.item.kind) {
+      case ArrivalKind::kSubmit: {
+        const Cei& cei = *record.item.cei;
+        event.weight = cei.weight;
+        event.required = cei.required;
+        event.assigned_id = cei.id;
+        event.eis.reserve(cei.eis.size());
+        for (; raw < raw_windows_.size() && raw_windows_[raw].id == cei.id;
+             ++raw) {
+          const RawWindow& window = raw_windows_[raw];
+          event.eis.emplace_back(window.resource, window.start,
+                                 window.finish);
+        }
+        if (event.eis.empty()) {  // unclamped: the stored windows are raw
+          for (const ExecutionInterval& ei : cei.eis) {
+            event.eis.emplace_back(ei.resource, ei.start, ei.finish);
+          }
+        }
+        WEBMON_DCHECK(event.eis.size() == cei.eis.size())
+            << "CEI " << cei.id << " logs " << event.eis.size()
+            << " raw windows for " << cei.eis.size() << " stored";
+        break;
+      }
+      case ArrivalKind::kPush:
+        event.resource = record.item.resource;
+        break;
+      case ArrivalKind::kCancel:
+        event.assigned_id = record.item.target;
+        break;
+    }
+  }
+  return log;
+}
+
+ArrivalLog Proxy::arrival_log() const {
+  MutexLock lock(mailbox_.mu());
+  return BuildArrivalLogLocked();
 }
 
 StatusOr<ArrivalLog> Proxy::TakeArrivalLog() {
@@ -269,7 +333,14 @@ StatusOr<ArrivalLog> Proxy::TakeArrivalLog() {
     return Status::FailedPrecondition(
         "the arrival log is released only once the epoch is done");
   }
-  return std::move(arrival_log_);
+  MutexLock lock(mailbox_.mu());
+  ArrivalLog log = BuildArrivalLogLocked();
+  record_blocks_.clear();
+  record_blocks_.shrink_to_fit();
+  num_records_ = 0;
+  raw_windows_.clear();
+  raw_windows_.shrink_to_fit();
+  return log;
 }
 
 double Proxy::CompletenessSoFar() const {

@@ -20,8 +20,10 @@
 // drive it, and calling it from a CEI callback (or from a second thread
 // while a tick is in flight) fails with FailedPrecondition instead of
 // deadlocking. now(), Done(), and ingestion_stats() are safe from any
-// thread; every other accessor (schedule(), stats(), arrival_log(), ...)
-// must only be read by the ticking thread or after producers have quiesced.
+// thread; arrival_log() takes the mailbox lock but reads the ticking
+// thread's record store, so it belongs to the ticking thread, like every
+// other accessor (schedule(), stats(), ...), or to any thread once
+// producers and the ticking thread have quiesced.
 //
 // Lock discipline is compiler-checked: the members the mailbox lock guards
 // are declared GUARDED_BY(mailbox_.mu()) and the Submit/Push closure bodies
@@ -197,13 +199,16 @@ class Proxy {
   size_t num_resident_states() const {
     return scheduler_.NumResidentStates();
   }
-  /// Every accepted ingestion event in drain order (the replay record).
-  /// Ticking thread / quiesced only.
-  const ArrivalLog& arrival_log() const { return arrival_log_; }
-  /// Hands the finished epoch's arrival log to the caller without copying
-  /// its events; the proxy's own log is empty afterwards. Fails with
-  /// FailedPrecondition before Done(), while the log may still grow.
-  /// Ticking thread / quiesced only.
+  /// Every accepted ingestion event in drain order (the replay record),
+  /// built from the proxy's fixed-size records on each call: O(events),
+  /// one window vector per submit, under the mailbox lock (producers wait
+  /// for it). Bind the result once rather than indexing the call in a
+  /// loop. Ticking thread / quiesced only.
+  ArrivalLog arrival_log() const;
+  /// Builds the finished epoch's arrival log like arrival_log() and then
+  /// frees the proxy's records, so the proxy's log is empty afterwards.
+  /// Fails with FailedPrecondition before Done(), while the log may still
+  /// grow. Ticking thread / quiesced only.
   StatusOr<ArrivalLog> TakeArrivalLog();
   /// Consistent snapshot of the mailbox accept/reject/drain counters, taken
   /// under the mailbox lock. Safe from any thread, mid-run included.
@@ -239,13 +244,31 @@ class Proxy {
   void set_on_cei_cancelled(std::function<void(CeiId)> cb);
 
  private:
-  // One mailbox entry: the materialized CEI (submits; null for pushes and
-  // cancels) plus the raw payload destined for the arrival log
-  // (seq/effective stamped at drain). log.kind discriminates.
+  // One mailbox entry: the event's kind and a one-word payload. A submit
+  // carries its stored, immutable Cei, from which the log reads the id,
+  // weight, `required` and (unless clamped) the windows back.
   struct PendingEvent {
-    const Cei* cei = nullptr;
-    ArrivalEvent log;
+    ArrivalKind kind = ArrivalKind::kSubmit;
+    union {
+      const Cei* cei = nullptr;  // kSubmit
+      ResourceId resource;       // kPush
+      CeiId target;              // kCancel
+    };
   };
+  // A stamped mailbox entry is the arrival-log record as stored: {seq,
+  // effective, kind, payload}.
+  using Record = SeqMailbox<PendingEvent>::Entry;
+  static_assert(sizeof(Record) == 32, "an arrival record is 32 bytes");
+  // The raw (pre-clamp) window of a submit whose windows Submit clamped;
+  // every window of such a submit is kept, in order.
+  struct RawWindow {
+    CeiId id = 0;
+    ResourceId resource = 0;
+    Chronon start = 0;
+    Chronon finish = 0;
+  };
+  // Records per block of the arrival-record store (32 KiB blocks).
+  static constexpr size_t kRecordsPerBlock = 1024;
 
   // Closure bodies of Submit()/Push(): validate against the stamped
   // (seq, epoch), allocate ids, and build the mailbox entry. They run under
@@ -262,6 +285,8 @@ class Proxy {
   std::optional<PendingEvent> MakeCancelEventLocked(CeiId id, int64_t epoch,
                                                     Status& status)
       REQUIRES(mailbox_.mu());
+  // Materializes the records drained so far as an ArrivalLog.
+  ArrivalLog BuildArrivalLogLocked() const REQUIRES(mailbox_.mu());
 
   uint32_t num_resources_;
   Chronon horizon_;
@@ -284,10 +309,16 @@ class Proxy {
   // cancels are rejected under the lock so the log never carries two cancel
   // records for one id (one flag byte per submitted CEI).
   std::vector<uint8_t> cancel_requested_ GUARDED_BY(mailbox_.mu());
+  // Raw windows of the clamped submits, in id order (ids grow with seq).
+  std::vector<RawWindow> raw_windows_ GUARDED_BY(mailbox_.mu());
   IngestionStats ingestion_ GUARDED_BY(mailbox_.mu());
-  // Drain-order record of every accepted event. Ticking thread only.
-  ArrivalLog arrival_log_;
-  // Drain scratch, reused across ticks.
+  // Drain-order record of every accepted event, in blocks of
+  // kRecordsPerBlock that never move once written. Ticking thread only.
+  std::vector<std::unique_ptr<Record[]>> record_blocks_;
+  size_t num_records_ = 0;
+  // Drain scratch, reused across ticks; drain_batch_ trades buffers with
+  // the mailbox's pending list at every drain.
+  std::vector<Record> drain_batch_;
   std::vector<const Cei*> drain_ceis_;
   std::vector<CeiId> drain_cancels_;
   Schedule schedule_;

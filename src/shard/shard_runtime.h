@@ -78,11 +78,10 @@ class ShardRuntime {
   Chronon now() const { return proxy_.now(); }
   bool Done() const { return proxy_.Done(); }
 
-  /// Once the epoch is done, moves the emitted stream and the wrapped
-  /// proxy's arrival log (the shard's replay record, in LOCAL resource
-  /// ids; Proxy::TakeArrivalLog) into `stream` and `log` without copying
-  /// their events; the runtime keeps neither. Fails with
-  /// FailedPrecondition before Done().
+  /// Once the epoch is done, moves the emitted stream into `stream` and
+  /// builds the wrapped proxy's arrival log (the shard's replay record, in
+  /// LOCAL resource ids; Proxy::TakeArrivalLog) into `log`; the runtime
+  /// keeps neither. Fails with FailedPrecondition before Done().
   Status TakeOutputs(ShardStream* stream, ArrivalLog* log);
   uint32_t shard_id() const { return shard_id_; }
   /// Owned-resource count (the local proxy's resource-space size).

@@ -206,8 +206,9 @@ StatusOr<ShardedRunResult> RunSharded(const ShardedRunConfig& config,
     if (!shard_status[s].ok()) return shard_status[s];
   }
 
-  // Hand each shard's stream and arrival log to the result as data (moved,
-  // never copied or formatted), then free the shards before the merge.
+  // Hand each shard's stream (moved) and arrival log (built from the
+  // proxy's records) to the result as data, never formatted, then free the
+  // shards before the merge.
   result.streams.resize(config.num_shards);
   result.arrival_logs.resize(config.num_shards);
   for (uint32_t s = 0; s < config.num_shards; ++s) {

@@ -19,9 +19,10 @@
 // any lane count. The replay-identity suite
 // (tests/shard/sharded_run_test.cc) pins this.
 //
-// RunSharded formats nothing: the per-shard streams and arrival logs are
-// moved out of the shards as data, and a caller that persists one
-// serializes it itself (SerializeShardStream, SerializeArrivalLog).
+// RunSharded formats nothing: the per-shard streams are moved out of the
+// shards and the arrival logs built from their proxies' records, as data,
+// and a caller that persists one serializes it itself
+// (SerializeShardStream, SerializeArrivalLog).
 
 #ifndef WEBMON_SHARD_SHARDED_RUN_H_
 #define WEBMON_SHARD_SHARDED_RUN_H_

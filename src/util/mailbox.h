@@ -14,7 +14,9 @@
 //
 // The lock is held only for the duration of the producer's `make` closure
 // (validation + stamping) or the drain's vector swap, so producers never
-// block on the consumer's processing of a drained batch.
+// block on the consumer's processing of a drained batch. Once the pending
+// buffer and the consumer's batch buffer have each held the largest round,
+// neither Push nor the drain touches the heap (see DrainAndAdvance).
 
 #ifndef WEBMON_UTIL_MAILBOX_H_
 #define WEBMON_UTIL_MAILBOX_H_
@@ -73,15 +75,17 @@ class SeqMailbox {
   }
 
   /// Consumer side (single consumer). Atomically advances the epoch to
-  /// `next_epoch` and removes every pending entry, in sequence order.
-  /// Producers that acquire the lock after this call stamp `next_epoch`;
-  /// every returned entry was stamped with an earlier epoch.
-  std::vector<Entry> DrainAndAdvance(int64_t next_epoch) {
-    std::vector<Entry> batch;
+  /// `next_epoch` and moves every pending entry, in sequence order, into
+  /// `batch`, discarding what `batch` held before. Producers that acquire
+  /// the lock after this call stamp `next_epoch`; every entry in `batch`
+  /// was stamped with an earlier epoch. `batch`'s emptied buffer becomes
+  /// the new pending buffer, so a consumer that keeps `batch` from drain to
+  /// drain recycles both buffers' capacity.
+  void DrainAndAdvance(int64_t next_epoch, std::vector<Entry>& batch) {
+    batch.clear();
     MutexLock lock(mu_);
     epoch_ = next_epoch;
     batch.swap(pending_);
-    return batch;
   }
 
   /// The epoch new items are currently stamped with.

@@ -18,6 +18,7 @@
 #include "faults/fault_model.h"
 #include "model/cei.h"
 #include "online/online_scheduler.h"
+#include "online/proxy.h"
 #include "policy/policy_factory.h"
 #include "util/alloc_counter.h"
 #include "util/rng.h"
@@ -342,6 +343,85 @@ TEST(AllocSteadyTest, RollingInsertPlusCancelChurnStaysAllocationFree) {
       << "some cancelled cohort members should already be captured — the "
          "no-op path must also stay allocation-free";
   EXPECT_GT(scheduler.stats().eis_captured, 0);
+}
+
+// The proxy's write path at steady state. An accepted Submit allocates its
+// CEI's one window vector, sized exactly, plus a share of the CEI store's
+// deque blocks and of the cancel-flag table's doublings; the mailbox buffer
+// it appends to is recycled from drain to drain, and the arrival log keeps
+// a fixed-size record per event instead of a copy of the windows. Push and
+// Cancel append only to that buffer. Tick is outside this budget: it
+// returns a probe vector and appends the records in blocks.
+TEST(AllocSteadyTest, ProxyWritePathStaysWithinItsAllocationBudget) {
+  constexpr uint32_t kResources = 2000;
+  constexpr Chronon kHorizon = 300;
+  constexpr Chronon kWarmup = 60;
+  constexpr Chronon kWindow = 8;
+  constexpr Chronon kCancelDelay = 3;
+  constexpr int kSubmitsPerChronon = 200;
+  constexpr int kPushesPerChronon = 10;
+  constexpr int kCancelsPerChronon = 40;  // of the cohort kCancelDelay back
+
+  auto policy = MakePolicy("m-edf", 17);
+  ASSERT_TRUE(policy.ok()) << policy.status();
+  SchedulerOptions options;
+  options.compact_terminal_states = true;
+  Proxy proxy(kResources, kHorizon, BudgetVector::Uniform(4),
+              std::move(*policy), options);
+  Rng rng(5);
+  std::vector<std::tuple<ResourceId, Chronon, Chronon>> eis;
+  std::vector<CeiId> first_of_cohort;  // first CEI id submitted at t
+  int64_t submits = 0;
+  int64_t submit_allocs = 0;
+  int64_t push_allocs = 0;
+  int64_t cancel_allocs = 0;
+  const Chronon last_arrival = kHorizon - kWindow;
+  for (Chronon t = 0; t < last_arrival; ++t) {
+    const bool measured = t >= kWarmup;
+    if (t >= kCancelDelay) {
+      const CeiId first = first_of_cohort[static_cast<size_t>(
+          t - kCancelDelay)];
+      for (int i = 0; i < kCancelsPerChronon; ++i) {
+        const AllocSnapshot before = SnapshotAllocCounters();
+        ASSERT_TRUE(proxy.Cancel(first + static_cast<CeiId>(i)).ok());
+        const AllocSnapshot after = SnapshotAllocCounters();
+        if (measured) cancel_allocs += after.allocations - before.allocations;
+      }
+    }
+    for (int i = 0; i < kPushesPerChronon; ++i) {
+      const auto resource = static_cast<ResourceId>(rng.UniformU64(kResources));
+      const AllocSnapshot before = SnapshotAllocCounters();
+      ASSERT_TRUE(proxy.Push(resource).ok());
+      const AllocSnapshot after = SnapshotAllocCounters();
+      if (measured) push_allocs += after.allocations - before.allocations;
+    }
+    for (int i = 0; i < kSubmitsPerChronon; ++i) {
+      eis.clear();
+      const int64_t rank = rng.UniformInt(1, 3);
+      for (int64_t e = 0; e < rank; ++e) {
+        eis.emplace_back(static_cast<ResourceId>(rng.UniformU64(kResources)),
+                         t, t + kWindow - 1);
+      }
+      const AllocSnapshot before = SnapshotAllocCounters();
+      StatusOr<CeiId> id = proxy.Submit(eis);
+      const AllocSnapshot after = SnapshotAllocCounters();
+      ASSERT_TRUE(id.ok()) << id.status();
+      if (i == 0) first_of_cohort.push_back(*id);
+      if (measured) {
+        submit_allocs += after.allocations - before.allocations;
+        ++submits;
+      }
+    }
+    ASSERT_TRUE(proxy.Tick().ok());
+  }
+  ASSERT_GT(submits, 0);
+  EXPECT_LE(static_cast<double>(submit_allocs) / static_cast<double>(submits),
+            1.25)
+      << submit_allocs << " allocations over " << submits << " submits";
+  EXPECT_EQ(push_allocs, 0);
+  EXPECT_EQ(cancel_allocs, 0);
+  EXPECT_GT(proxy.stats().ceis_cancelled, 0);
+  EXPECT_GT(proxy.stats().pushes_delivered, 0);
 }
 
 // The counting operator new itself must observe this binary's allocations

@@ -125,8 +125,9 @@ TEST(IngestionSoakTest, TwentyThousandChrononsOfConcurrentStreaming) {
   int64_t submits = 0;
   CeiId expected_id = 0;
   uint64_t prev_seq = 0;
-  for (size_t i = 0; i < proxy.arrival_log().size(); ++i) {
-    const ArrivalEvent& event = proxy.arrival_log()[i];
+  const ArrivalLog log = proxy.arrival_log();
+  for (size_t i = 0; i < log.size(); ++i) {
+    const ArrivalEvent& event = log[i];
     if (i > 0) {
       ASSERT_GT(event.seq, prev_seq);
     }
@@ -151,7 +152,7 @@ TEST(IngestionSoakTest, TwentyThousandChrononsOfConcurrentStreaming) {
   FaultInjector replay_injector(SoakSpec(), kResources, seed);
   SchedulerOptions replay_options;
   replay_options.fault_injector = &replay_injector;
-  auto replay = ReplayArrivalLog(proxy.arrival_log(), kResources, kHorizon,
+  auto replay = ReplayArrivalLog(log, kResources, kHorizon,
                                  BudgetVector::Uniform(2),
                                  std::move(*replay_policy), replay_options);
   ASSERT_TRUE(replay.ok()) << replay.status();

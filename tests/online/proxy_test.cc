@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "online/arrival_log.h"
 #include "policy/policy_factory.h"
 
 namespace webmon {
@@ -223,6 +224,88 @@ TEST(ProxyTest, TakeArrivalLogReleasesOnlyTheFinishedLog) {
   ASSERT_TRUE(taken.ok()) << taken.status();
   EXPECT_EQ(*taken, recorded);
   EXPECT_EQ(taken->size(), 2u);
+  EXPECT_TRUE(proxy.arrival_log().empty());
+}
+
+// The log is built from fixed-size records on demand: a submit's id,
+// weight and `required` are read back from its stored Cei, and so are its
+// windows unless Submit clamped them, in which case the windows the
+// producer passed are kept. Over several chronons of clamped and unclamped
+// submits (k-of-n, non-unit weights), pushes, cancels and rejections, the
+// built log must equal a hand-built one at every point, survive the text
+// round trip, and come out of TakeArrivalLog once.
+TEST(ProxyTest, MaterializedLogKeepsRawWindowsAndOrder) {
+  using Windows = std::vector<std::tuple<ResourceId, Chronon, Chronon>>;
+  Proxy proxy(4, 12, BudgetVector::Uniform(1), Mrsf());
+  ArrivalLog expected;
+  auto submit = [&](Chronon effective, const Windows& eis, double weight,
+                    uint32_t required) {
+    auto id = proxy.Submit(eis, weight, required);
+    ASSERT_TRUE(id.ok()) << id.status();
+    ArrivalEvent event;
+    event.seq = expected.size();
+    event.effective = effective;
+    event.kind = ArrivalKind::kSubmit;
+    event.eis = eis;
+    event.weight = weight;
+    event.required = required;
+    event.assigned_id = *id;
+    expected.push_back(event);
+  };
+  auto push = [&](Chronon effective, ResourceId resource) {
+    ASSERT_TRUE(proxy.Push(resource).ok());
+    ArrivalEvent event;
+    event.seq = expected.size();
+    event.effective = effective;
+    event.kind = ArrivalKind::kPush;
+    event.resource = resource;
+    expected.push_back(event);
+  };
+  auto cancel = [&](Chronon effective, CeiId id) {
+    ASSERT_TRUE(proxy.Cancel(id).ok());
+    ArrivalEvent event;
+    event.seq = expected.size();
+    event.effective = effective;
+    event.kind = ArrivalKind::kCancel;
+    event.assigned_id = id;
+    expected.push_back(event);
+  };
+
+  // Chronon 0: a window finishing past the horizon (clamped), then an
+  // unclamped submit and a push.
+  submit(0, {{0, 0, 5}, {1, 2, 30}}, 1.0, 0);
+  submit(0, {{2, 0, 3}}, 2.5, 0);
+  push(0, 3);
+  ASSERT_TRUE(proxy.Tick().ok());
+  // Chronon 1: a 2-of-3 submit starting in the past (clamped), a cancel of
+  // the unclamped submit, and a one-chronon window.
+  submit(1, {{0, 0, 4}, {1, 1, 6}, {3, 5, 9}}, 0.1, 2);
+  cancel(1, 1);
+  submit(1, {{1, 1, 1}}, 1.0, 0);
+  ASSERT_TRUE(proxy.Tick().ok());
+  EXPECT_EQ(proxy.arrival_log(), expected);
+  ASSERT_TRUE(proxy.Tick().ok());  // chronon 2 is empty
+  // Chronon 3: rejected submits whose first window was clamped leave
+  // nothing behind; a window ending exactly at the horizon is not clamped.
+  EXPECT_FALSE(proxy.Submit({{0, 0, 5}, {9, 3, 5}}).ok());
+  EXPECT_FALSE(proxy.Submit({{0, 0, 5}, {1, 7, 3}}, 3.0, 1).ok());
+  push(3, 0);
+  submit(3, {{2, 3, 11}}, 1.0, 0);
+  submit(3, {{3, 1, 20}, {0, 4, 4}}, 7.0, 1);
+  cancel(3, 2);
+  // Undrained events, clamped submit included, are not in the log yet.
+  EXPECT_EQ(proxy.arrival_log(),
+            ArrivalLog(expected.begin(), expected.begin() + 6));
+  while (!proxy.Done()) ASSERT_TRUE(proxy.Tick().ok());
+
+  const ArrivalLog log = proxy.arrival_log();
+  EXPECT_EQ(log, expected);
+  auto parsed = ParseArrivalLog(SerializeArrivalLog(log));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(*parsed, expected);
+  auto taken = proxy.TakeArrivalLog();
+  ASSERT_TRUE(taken.ok()) << taken.status();
+  EXPECT_EQ(*taken, expected);
   EXPECT_TRUE(proxy.arrival_log().empty());
 }
 

@@ -28,7 +28,8 @@ TEST(MailboxTest, StampsSequenceAndEpoch) {
   }));
   EXPECT_EQ(box.pending(), 2u);
 
-  auto batch = box.DrainAndAdvance(1);
+  std::vector<SeqMailbox<int>::Entry> batch;
+  box.DrainAndAdvance(1, batch);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].seq, 0u);
   EXPECT_EQ(batch[0].epoch, 0);
@@ -57,7 +58,8 @@ TEST(MailboxTest, EpochAdvancesStampNewArrivals) {
     EXPECT_EQ(epoch, 5);
     return Accept(1);
   }));
-  auto batch = box.DrainAndAdvance(6);
+  std::vector<SeqMailbox<int>::Entry> batch;
+  box.DrainAndAdvance(6, batch);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].epoch, 5);
   ASSERT_TRUE(box.Push([](uint64_t seq, int64_t epoch) {
@@ -69,8 +71,43 @@ TEST(MailboxTest, EpochAdvancesStampNewArrivals) {
 
 TEST(MailboxTest, DrainOnEmptyMailboxStillAdvances) {
   SeqMailbox<int> box;
-  EXPECT_TRUE(box.DrainAndAdvance(3).empty());
+  std::vector<SeqMailbox<int>::Entry> batch = {{7, 0, 1}};
+  box.DrainAndAdvance(3, batch);
+  EXPECT_TRUE(batch.empty()) << "the drain discards the previous batch";
   EXPECT_EQ(box.epoch(), 3);
+}
+
+// The drain trades the pending buffer for the consumer's batch buffer, so
+// a consumer that keeps its batch recycles both. With the batch sized for
+// one round, a second round of the same size fills the consumer's buffer
+// in place and a third fills the first round's: no round after the first
+// allocates. A reallocation would have to place the entries in a buffer
+// other than the two, since std::vector allocates the new one before it
+// frees the old.
+TEST(MailboxTest, SecondDrainRoundOfTheSameSizeAllocatesNothing) {
+  constexpr int kItems = 300;
+  SeqMailbox<int> box;
+  std::vector<SeqMailbox<int>::Entry> batch;
+  batch.reserve(kItems);
+  const SeqMailbox<int>::Entry* consumer_buffer = batch.data();
+  auto round = [&](int64_t next_epoch) {
+    for (int i = 0; i < kItems; ++i) {
+      box.Push([i](uint64_t, int64_t) { return Accept(i); });
+    }
+    box.DrainAndAdvance(next_epoch, batch);
+    EXPECT_EQ(batch.size(), static_cast<size_t>(kItems));
+    EXPECT_EQ(batch.back().item, kItems - 1);
+    return batch.data();
+  };
+  const SeqMailbox<int>::Entry* first_round_buffer = round(1);
+  EXPECT_NE(first_round_buffer, consumer_buffer);
+  for (int64_t epoch = 2; epoch <= 5; ++epoch) {
+    const auto* expected =
+        epoch % 2 == 0 ? consumer_buffer : first_round_buffer;
+    EXPECT_EQ(round(epoch), expected)
+        << "round " << epoch << " regrew a buffer instead of reusing one";
+    EXPECT_GE(batch.capacity(), static_cast<size_t>(kItems));
+  }
 }
 
 // Producers race; the drained union must be exactly the accepted items, with
@@ -97,8 +134,10 @@ TEST(MailboxTest, ConcurrentProducersGetDenseUniqueStamps) {
   // Drain concurrently with the producers, then once more after the join to
   // pick up stragglers.
   std::vector<SeqMailbox<std::pair<int, int>>::Entry> all;
+  std::vector<SeqMailbox<std::pair<int, int>>::Entry> batch;
   for (int round = 1; all.size() < kProducers * kPerProducer; ++round) {
-    for (auto& e : box.DrainAndAdvance(round)) all.push_back(e);
+    box.DrainAndAdvance(round, batch);
+    all.insert(all.end(), batch.begin(), batch.end());
     std::this_thread::yield();
   }
   for (auto& t : producers) t.join();

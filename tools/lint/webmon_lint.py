@@ -27,10 +27,11 @@ Rules:
              acquisition — a raw std::mutex is invisible to the analysis
              and silently exempts its file from the lock-discipline checks.
              Tests are exempt (they exercise the primitives directly).
-  hotpath    Inside the Tick-phase hot functions of the online scheduler
-             and the policies' per-chronon hooks (HOTPATH_FUNCTIONS
-             below), no by-value construction of
-             std::vector/std::map locals and no push_back/emplace_back
+  hotpath    Inside the Tick-phase hot functions of the online scheduler,
+             the policies' per-chronon hooks and the proxy's per-event
+             write path (HOTPATH_FUNCTIONS below), no by-value
+             construction of std::vector/std::map locals and no
+             push_back/emplace_back
              without a `hotpath-alloc-ok:` justification comment on the
              same line or the line directly above. The steady-state
              contract (docs/PERFORMANCE.md "Memory & sustained
@@ -107,13 +108,19 @@ LINE_COMMENT = re.compile(r"//.*$")
 # grow them without an explicit justification. Keyed by repo-relative file
 # pattern (fnmatch); the named methods are the ones on the
 # OnlineScheduler::Step call path, including the policy hooks the rank
-# phase calls once per chronon or once per candidate.
+# phase calls once per chronon or once per candidate, and the proxy's
+# write path: Tick's drain and the Submit/Push/Cancel closure bodies,
+# which run once per ingested event.
 HOTPATH_FUNCTIONS = {
     "src/online/online_scheduler.cc": {
         "Step", "RankScan", "Activate", "AdmitActive", "ProcessExpiries",
         "MarkFailed", "RetireTerminalState", "MoveSlot", "ResizeSlots",
         "IssueProbe", "RecordProbe", "Capture", "IndexPush", "RebuildIndex",
         "SelectFromIndex", "RekeyCei", "CaptureSlots", "SweepSlots",
+    },
+    "src/online/proxy.cc": {
+        "Tick", "MakeSubmitEventLocked", "MakePushEventLocked",
+        "MakeCancelEventLocked",
     },
     "src/policy/*.cc": {"Value", "ValueFloor", "BeginChronon"},
 }
