@@ -343,19 +343,10 @@ StatusOr<FaultSpec> LoadFaultSpecFromFile(const std::string& path) {
 
 FaultInjector::FaultInjector(FaultSpec spec, uint32_t num_resources,
                              uint64_t seed)
-    : spec_(std::move(spec)), seed_(seed), states_(num_resources) {
+    : spec_(std::move(spec)), seed_(seed), num_resources_(num_resources) {
   WEBMON_CHECK(spec_.Validate().ok())
       << "FaultInjector built from an invalid spec: "
       << spec_.Validate().ToString();
-  for (uint32_t r = 0; r < num_resources; ++r) {
-    // Independent streams per resource: mixing the resource id through
-    // SplitMix64 decorrelates neighbours, and separate probe/chain streams
-    // keep the outage pattern independent of how often a resource is
-    // probed.
-    uint64_t stream = seed ^ (0x9E3779B97F4A7C15ULL * (r + 1));
-    states_[r].probe_rng = Rng(SplitMix64Next(stream));
-    states_[r].chain_rng = Rng(SplitMix64Next(stream));
-  }
   if (!spec_.incidents.empty()) {
     domains_.resize(spec_.incidents.size());
     for (size_t d = 0; d < spec_.incidents.size(); ++d) {
@@ -421,19 +412,34 @@ void FaultInjector::AdvanceChain(ResourceState& state,
   }
 }
 
-bool FaultInjector::InOutage(ResourceId resource, Chronon t) {
-  WEBMON_CHECK_LT(resource, states_.size())
+FaultInjector::ResourceState& FaultInjector::TouchState(ResourceId resource) {
+  WEBMON_CHECK_LT(resource, num_resources_)
       << "fault injector asked about an unknown resource";
-  ResourceState& state = states_[resource];
+  // hotpath-alloc-ok: first touch only; pre-sized through Reserve
+  auto [state, created] = states_.FindOrInsert(resource);
+  if (created) {
+    // Independent streams per resource: mixing the resource id through
+    // SplitMix64 decorrelates neighbours, and separate probe/chain streams
+    // keep the outage pattern independent of how often a resource is
+    // probed. Whenever the state is created, its chain starts before
+    // chronon 0, so AdvanceChain replays the draws of a state seeded at
+    // construction.
+    uint64_t stream = seed_ ^ (0x9E3779B97F4A7C15ULL * (resource + 1));
+    state->probe_rng = Rng(SplitMix64Next(stream));
+    state->chain_rng = Rng(SplitMix64Next(stream));
+  }
+  return *state;
+}
+
+bool FaultInjector::InOutage(ResourceId resource, Chronon t) {
+  ResourceState& state = TouchState(resource);
   AdvanceChain(state, spec_.For(resource), t);
   return state.in_bad_state;
 }
 
 ProbeOutcome FaultInjector::OnProbe(ResourceId resource, Chronon t) {
-  WEBMON_CHECK_LT(resource, states_.size())
-      << "fault injector probed for an unknown resource";
+  ResourceState& state = TouchState(resource);
   const ResourceFaultProfile& profile = spec_.For(resource);
-  ResourceState& state = states_[resource];
   // Draw order is part of the determinism contract: fleet incident first
   // (the probe never reaches the server, so the rate limiter does not see
   // it), then rate limit (no RNG), timeout, and the outage/transient draw.

@@ -26,6 +26,7 @@
 
 #include "model/probe_outcome.h"
 #include "model/types.h"
+#include "util/id_map.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -158,9 +159,18 @@ StatusOr<FaultSpec> LoadFaultSpecFromFile(const std::string& path);
 /// every probe attempt. Deterministic: two runs with the same (spec, seed,
 /// attempt sequence) produce the same outcomes, and the outage chain of a
 /// resource depends only on the chronon, never on how often it was probed.
+/// A resource's state (its two streams, seeded from (seed, resource), and
+/// its chain and rate-limit window) is created on its first OnProbe or
+/// InOutage, so the injector's footprint follows the touched resources and
+/// the order or chronon of first touches changes no draw.
 class FaultInjector {
  public:
   FaultInjector(FaultSpec spec, uint32_t num_resources, uint64_t seed);
+
+  /// Makes room for `resources` touched resources, so the first touches of
+  /// that many never grow the state table (the scheduler calls it with
+  /// min(num_resources, SchedulerSizingHints::expected_attempts)).
+  void Reserve(size_t resources) { states_.Reserve(resources); }
 
   /// Outcome of probing `resource` at chronon `t`. Chronons must be
   /// non-decreasing per resource (the scheduler's chronon loop guarantees
@@ -189,9 +199,7 @@ class FaultInjector {
 
   const FaultSpec& spec() const { return spec_; }
   uint64_t seed() const { return seed_; }
-  uint32_t num_resources() const {
-    return static_cast<uint32_t>(states_.size());
-  }
+  uint32_t num_resources() const { return num_resources_; }
 
  private:
   struct ResourceState {
@@ -209,13 +217,19 @@ class FaultInjector {
     Chronon chain_advanced_to = -1;
   };
 
+  // The state of `resource`, created and seeded on its first touch.
+  // CHECK-fails on an out-of-range resource.
+  ResourceState& TouchState(ResourceId resource);
   void AdvanceChain(ResourceState& state, const ResourceFaultProfile& profile,
                     Chronon t);
   void AdvanceDomain(size_t domain, Chronon t);
 
   FaultSpec spec_;
   uint64_t seed_;
-  std::vector<ResourceState> states_;
+  uint32_t num_resources_;
+  // Touched resources only: a resource without an entry has drawn nothing
+  // yet, exactly as a state seeded at construction would have.
+  FlatIdMap<ResourceState> states_;
   // Fleet incident chains, one per spec().incidents entry, plus the
   // resource -> covering-domains index.
   std::vector<DomainState> domains_;

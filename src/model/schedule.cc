@@ -45,8 +45,7 @@ int64_t BudgetVector::Max(Chronon k) const {
 Schedule::Schedule(uint32_t num_resources, Chronon num_chronons)
     : num_resources_(num_resources),
       num_chronons_(num_chronons),
-      by_chronon_(static_cast<size_t>(std::max<Chronon>(num_chronons, 0))),
-      by_resource_(num_resources) {}
+      by_chronon_(static_cast<size_t>(std::max<Chronon>(num_chronons, 0))) {}
 
 Status Schedule::AddProbe(ResourceId resource, Chronon t) {
   if (resource >= num_resources_) {
@@ -55,12 +54,15 @@ Status Schedule::AddProbe(ResourceId resource, Chronon t) {
   if (t < 0 || t >= num_chronons_) {
     return Status::OutOfRange("probe chronon out of range");
   }
-  auto& probes = by_resource_[resource];
+  // hotpath-alloc-ok: the resource's list is created on its first probe
+  std::vector<Chronon>& probes = *by_resource_.FindOrInsert(resource).first;
   auto it = std::lower_bound(probes.begin(), probes.end(), t);
   if (it != probes.end() && *it == t) {
     return Status::AlreadyExists("duplicate probe");
   }
+  // hotpath-alloc-ok: per-resource lists grow by doubling (unreserved)
   probes.insert(it, t);
+  // hotpath-alloc-ok: reserved per chronon through ReserveProbesAt
   by_chronon_[static_cast<size_t>(t)].push_back(resource);
   ++total_probes_;
   return Status::OK();
@@ -72,15 +74,14 @@ void Schedule::ReserveProbesAt(Chronon t, size_t n) {
 }
 
 bool Schedule::Probed(ResourceId resource, Chronon t) const {
-  if (resource >= num_resources_ || t < 0 || t >= num_chronons_) return false;
-  const auto& probes = by_resource_[resource];
+  const std::vector<Chronon>& probes = ProbesOf(resource);
   return std::binary_search(probes.begin(), probes.end(), t);
 }
 
 bool Schedule::ProbedInRange(ResourceId resource, Chronon from,
                              Chronon to) const {
-  if (resource >= num_resources_ || from > to) return false;
-  const auto& probes = by_resource_[resource];
+  if (from > to) return false;
+  const std::vector<Chronon>& probes = ProbesOf(resource);
   auto it = std::lower_bound(probes.begin(), probes.end(), from);
   return it != probes.end() && *it <= to;
 }
@@ -95,8 +96,8 @@ const std::vector<ResourceId>& Schedule::ProbesAt(Chronon t) const {
 const std::vector<Chronon>& Schedule::ProbesOf(ResourceId resource) const {
   static const std::vector<Chronon>* const kEmpty =
       new std::vector<Chronon>();
-  if (resource >= num_resources_) return *kEmpty;
-  return by_resource_[resource];
+  const std::vector<Chronon>* probes = by_resource_.Find(resource);
+  return probes == nullptr ? *kEmpty : *probes;
 }
 
 Status Schedule::CheckFeasible(const BudgetVector& budget) const {
@@ -111,12 +112,6 @@ Status Schedule::CheckFeasible(const BudgetVector& budget) const {
     }
   }
   return Status::OK();
-}
-
-void Schedule::Clear() {
-  for (auto& v : by_chronon_) v.clear();
-  for (auto& v : by_resource_) v.clear();
-  total_probes_ = 0;
 }
 
 }  // namespace webmon

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "model/types.h"
+#include "util/id_map.h"
 #include "util/status.h"
 
 namespace webmon {
@@ -46,7 +47,10 @@ class BudgetVector {
 ///
 /// Stored both per-chronon (for budget checks and replay) and per-resource
 /// with sorted chronons (for O(log) capture queries). All mutation goes
-/// through AddProbe so the two views stay consistent.
+/// through AddProbe so the two views stay consistent. The per-chronon lists
+/// exist from construction; a resource's list is created by its first
+/// AddProbe, so the footprint follows the probed resources (at most
+/// sum_j C_j of them), not num_resources.
 class Schedule {
  public:
   /// Creates an empty schedule over `num_resources` resources and
@@ -71,7 +75,8 @@ class Schedule {
   /// Resources probed at chronon `t` (unordered).
   const std::vector<ResourceId>& ProbesAt(Chronon t) const;
 
-  /// Sorted chronons at which `resource` is probed.
+  /// Sorted chronons at which `resource` is probed (empty for a resource
+  /// never probed). Valid until the next AddProbe.
   const std::vector<Chronon>& ProbesOf(ResourceId resource) const;
 
   /// Total number of probes in the schedule.
@@ -83,17 +88,15 @@ class Schedule {
   uint32_t num_resources() const { return num_resources_; }
   Chronon num_chronons() const { return num_chronons_; }
 
-  /// Removes all probes.
-  void Clear();
-
  private:
   uint32_t num_resources_;
   Chronon num_chronons_;
   int64_t total_probes_ = 0;
   // by_chronon_[t] = resources probed at t (insertion order).
   std::vector<std::vector<ResourceId>> by_chronon_;
-  // by_resource_[r] = sorted chronons at which r is probed.
-  std::vector<std::vector<Chronon>> by_resource_;
+  // by_resource_[r] = sorted chronons at which r is probed; r has an entry
+  // iff it is probed at least once.
+  FlatIdMap<std::vector<Chronon>> by_resource_;
 };
 
 }  // namespace webmon

@@ -55,7 +55,6 @@ OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
   // Fault bookkeeping is pay-for-use: without an injector no health state
   // exists and the rank scan runs its gate-free instantiation.
   if (options_.fault_injector != nullptr) {
-    health_.resize(num_resources);
     const FaultSpec& spec = options_.fault_injector->spec();
     if (!spec.incidents.empty()) {
       track_incidents_ = true;
@@ -66,9 +65,13 @@ OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
             spec, num_resources, options_.fault_handling);
       }
     }
+    // Every resource starts healthy; its health entry is created by its
+    // first recorded outcome, but its gate word exists from the start
+    // because the rank scan reads one per candidate.
+    const ResourceHealth healthy;
     gates_.reserve(num_resources);
     for (ResourceId r = 0; r < num_resources; ++r) {
-      gates_.push_back(GateFor(r));
+      gates_.push_back(GateFor(r, healthy));
     }
   }
   // The per-resource rank table (best_at_) is allocated on first use — the
@@ -91,6 +94,11 @@ OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
   }
   if (options_.fault_injector != nullptr && hints.expected_attempts > 0) {
     attempt_log_.reserve(hints.expected_attempts);
+    // A run of that many attempts touches at most this many resources.
+    const size_t touched =
+        std::min<size_t>(num_resources, hints.expected_attempts);
+    health_.Reserve(touched);
+    options_.fault_injector->Reserve(touched);
   }
   if (hints.expected_ceis > 0) {
     cei_index_.Reserve(hints.expected_ceis);
@@ -100,8 +108,13 @@ OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
 OnlineScheduler::~OnlineScheduler() = default;
 
 ResourceHealth OnlineScheduler::health(ResourceId resource) const {
-  if (resource < health_.size()) return health_[resource];
-  return ResourceHealth{};
+  const ResourceHealth* h = health_.Find(resource);
+  return h == nullptr ? ResourceHealth{} : *h;
+}
+
+ResourceHealth& OnlineScheduler::TouchHealth(ResourceId resource) {
+  // hotpath-alloc-ok: first touch only; pre-sized from expected_attempts
+  return *health_.FindOrInsert(resource).first;
 }
 
 bool OnlineScheduler::ResourceAvailable(ResourceId resource,
@@ -110,8 +123,7 @@ bool OnlineScheduler::ResourceAvailable(ResourceId resource,
 }
 
 OnlineScheduler::ResourceGate OnlineScheduler::GateFor(
-    ResourceId resource) const {
-  const ResourceHealth& h = health_[resource];
+    ResourceId resource, const ResourceHealth& h) const {
   // Open until the cooldown elapsed; then the half-open trial may go out.
   const Chronon from = h.breaker == ResourceHealth::Breaker::kOpen
                            ? h.open_until
@@ -119,15 +131,15 @@ OnlineScheduler::ResourceGate OnlineScheduler::GateFor(
   ResourceGate gate;
   gate.probe_from =
       static_cast<int32_t>(std::clamp<Chronon>(from, 0, num_chronons_));
-  gate.shrink = static_cast<uint8_t>(ShrinkFor(resource));
+  gate.shrink = static_cast<uint8_t>(ShrinkFor(h));
   gate.streak = h.consecutive_failures > 0;
   gate.covered = detector_ != nullptr && detector_->Covers(resource);
   return gate;
 }
 
-Chronon OnlineScheduler::ShrinkFor(ResourceId resource) const {
+Chronon OnlineScheduler::ShrinkFor(const ResourceHealth& h) const {
   if (options_.fault_handling.deadline_shrink_cap <= 0) return 0;
-  const double f = std::min(health_[resource].ewma_failure, 0.95);
+  const double f = std::min(h.ewma_failure, 0.95);
   if (f <= 0.0) return 0;
   // Expected extra attempts per successful probe under failure rate f is
   // f/(1-f); each costs at least one chronon of the EI's window.
@@ -135,10 +147,9 @@ Chronon OnlineScheduler::ShrinkFor(ResourceId resource) const {
   return std::min(extra, options_.fault_handling.deadline_shrink_cap);
 }
 
-void OnlineScheduler::RecordOutcome(ResourceId resource, Chronon now,
-                                    bool success, double cost) {
+void OnlineScheduler::RecordOutcome(ResourceHealth& h, ResourceId resource,
+                                    Chronon now, bool success, double cost) {
   const FaultHandlingOptions& fh = options_.fault_handling;
-  ResourceHealth& h = health_[resource];
   if (h.consecutive_failures > 0) {
     ++stats_.probes_retried;
     stats_.retry_budget_spent += cost;
@@ -633,7 +644,7 @@ void OnlineScheduler::RankScan(Chronon now, bool compute_values, size_t top_c,
     if (check_attempted && attempted_now_[r]) return false;
     if constexpr (kFaulty) {
       const ResourceGate gate = gates_[r];
-      WEBMON_DCHECK(gate == GateFor(r))
+      WEBMON_DCHECK(gate == GateFor(r, health(r)))
           << "stale gate word of resource " << r << " at chronon " << now;
       if (now < gate.probe_from) return false;
       if (no_retries && gate.streak) {
@@ -766,7 +777,9 @@ bool OnlineScheduler::IssueProbe(ResourceId resource, Chronon now,
   policy_->NotifyProbed(resource, now);
   FaultInjector* injector = options_.fault_injector;
   if (injector == nullptr) return true;
-  ResourceHealth& h = health_[resource];
+  // The attempt's one health lookup: the entry is passed on to the outcome
+  // and the gate derivation below.
+  ResourceHealth& h = TouchHealth(resource);
   if (h.breaker == ResourceHealth::Breaker::kOpen) {
     // The cooldown elapsed (ResourceAvailable); this attempt is the
     // half-open trial.
@@ -790,8 +803,8 @@ bool OnlineScheduler::IssueProbe(ResourceId resource, Chronon now,
   // hotpath-alloc-ok: fault-path log, reservable via sizing hints
   attempt_log_.push_back({resource, now, outcome, inc_flags});
   const bool success = ProbeSucceeded(outcome);
-  RecordOutcome(resource, now, success, cost);
-  gates_[resource] = GateFor(resource);
+  RecordOutcome(h, resource, now, success, cost);
+  gates_[resource] = GateFor(resource, h);
   if (detector_ != nullptr) detector_->RecordAttempt(resource, now, success);
   return success;
 }

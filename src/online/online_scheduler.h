@@ -53,10 +53,11 @@
 // backoff with deterministic jitter between retries, a per-resource circuit
 // breaker (closed -> open -> half-open) that stops wasting budget on a dead
 // resource, and a deadline shrink that makes urgency ranking account for the
-// expected retries on flaky resources. Each resource's ResourceHealth
-// (health()) holds that state; the rank scan, the fleet-breaker trials and
-// the walk read an 8-byte gate word per resource instead, which IssueProbe
-// re-derives from the health entry after every recorded outcome (next
+// expected retries on flaky resources. Each attempted resource's
+// ResourceHealth (health(), created by its first attempt) holds that state;
+// the rank scan, the fleet-breaker trials and the walk read an 8-byte gate
+// word per resource instead, which IssueProbe re-derives from the health
+// entry after every recorded outcome (next
 // probeable chronon, deadline shrink, live-streak and covered flags;
 // docs/PERFORMANCE.md "Top-C selection"). The word holds a 32-bit chronon,
 // so with an injector the constructor rejects epochs beyond 2^31 - 1
@@ -109,11 +110,14 @@ struct SchedulerSizingHints {
   /// scan path's slot columns, or the ordered-index path's heap (its slot
   /// buckets take arena chunks as they fill).
   size_t expected_active_eis = 0;
-  /// Expected total probe attempts over the run: pre-reserves the attempt
-  /// log (only allocated when a fault injector is attached). Without it the
-  /// log grows inside Step, so a fault-injected tick allocates each time
-  /// the log outgrows its capacity; a zero-allocation fault path needs the
-  /// hint.
+  /// Expected total probe attempts over the run (only used when a fault
+  /// injector is attached): pre-reserves the attempt log, and pre-sizes
+  /// the two tables created on a resource's first attempt, the scheduler's
+  /// health entries and the injector's states (FaultInjector::Reserve),
+  /// for min(num_resources, expected_attempts) resources, since no run of
+  /// that many attempts touches more. Without it the log and the tables
+  /// grow inside Step, so a fault-injected tick allocates each time one
+  /// outgrows its capacity; a zero-allocation fault path needs the hint.
   size_t expected_attempts = 0;
   /// Expected total CEIs registered over the run: pre-sizes the id -> state
   /// lookup serving RemoveCei, so steady-state churn never grows it.
@@ -229,8 +233,9 @@ struct SchedulerStats {
 };
 
 /// Observable per-resource failure-handling state (diagnostics, tests).
-/// The scheduler keeps one per resource; the 8-byte fields come first so
-/// the struct packs to 56 bytes.
+/// The scheduler creates one on a resource's first recorded outcome; a
+/// resource never attempted is in the default (healthy) state. The 8-byte
+/// fields come first so the struct packs to 56 bytes.
 struct ResourceHealth {
   enum class Breaker : uint8_t { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
   /// First chronon at which an attempt may be issued again after a failure
@@ -591,18 +596,22 @@ class OnlineScheduler {
   // (or its cooldown elapsed, allowing the half-open trial) and no backoff
   // gate is pending. Reads the gate word.
   bool ResourceAvailable(ResourceId resource, Chronon now) const;
-  // Folds one attempt outcome into the resource's health: streaks, EWMA,
-  // backoff gate, breaker transitions, and the fault counters.
-  void RecordOutcome(ResourceId resource, Chronon now, bool success,
-                     double cost);
-  // Deadline shrink for EIs on `resource`, from its health's EWMA failure
-  // rate f: ceil(f/(1-f)) expected extra attempts, with f capped at 0.95
-  // (so at most 19) and the result at deadline_shrink_cap; 0 on healthy
-  // resources. Evaluated by GateFor, once per recorded outcome.
-  Chronon ShrinkFor(ResourceId resource) const;
-  // The gate word of `resource` as derived from health_[resource] and the
+  // The health entry of `resource`, created healthy on its first attempt.
+  // IssueProbe calls it once per attempt and hands the entry on, so an
+  // attempt looks the sparse table up once.
+  ResourceHealth& TouchHealth(ResourceId resource);
+  // Folds one attempt outcome into `h`, the health of `resource`: streaks,
+  // EWMA, backoff gate, breaker transitions, and the fault counters.
+  void RecordOutcome(ResourceHealth& h, ResourceId resource, Chronon now,
+                     bool success, double cost);
+  // Deadline shrink for EIs on a resource of health `h`, from its EWMA
+  // failure rate f: ceil(f/(1-f)) expected extra attempts, with f capped at
+  // 0.95 (so at most 19) and the result at deadline_shrink_cap; 0 on
+  // healthy resources. Evaluated by GateFor, once per recorded outcome.
+  Chronon ShrinkFor(const ResourceHealth& h) const;
+  // The gate word of `resource`, of health `h`, as derived from `h` and the
   // detector's coverage.
-  ResourceGate GateFor(ResourceId resource) const;
+  ResourceGate GateFor(ResourceId resource, const ResourceHealth& h) const;
   // True iff FaultSpec::retry_budget is set and already spent, so no
   // further retry attempts may be issued.
   bool RetryBudgetExhausted() const;
@@ -736,13 +745,18 @@ class OnlineScheduler {
   // stale positions from earlier chronons fail the check.
   std::vector<uint32_t> best_at_;
 
-  // Per-resource failure-handling state; empty when no injector is set.
-  // The source of truth for health() and the audits; only RecordOutcome
-  // (and IssueProbe's half-open transition) write it.
-  std::vector<ResourceHealth> health_;
-  // gates_[r] == GateFor(r) between outcomes: IssueProbe rewrites it right
-  // after RecordOutcome, so at most C words change per chronon. Empty when
-  // no injector is set.
+  // Failure-handling state of the resources attempted so far, created by
+  // a resource's first attempt (TouchHealth), so it holds at most
+  // sum_j C_j entries, not num_resources; a resource without one is
+  // healthy. Empty when no injector is set. The source of truth for
+  // health() and the audits; only RecordOutcome (and IssueProbe's
+  // half-open transition) write it. The rank scan never reads it.
+  FlatIdMap<ResourceHealth> health_;
+  // gates_[r] == GateFor(r, health(r)) between outcomes: IssueProbe
+  // rewrites it right after RecordOutcome, so at most C words change per
+  // chronon. Dense, one word per resource from construction, unlike
+  // health_: the rank scan reads one per candidate, on any resource.
+  // Empty when no injector is set.
   std::vector<ResourceGate> gates_;
   std::vector<ProbeAttempt> attempt_log_;
   // Fleet incident machinery; allocated only when the injector's spec

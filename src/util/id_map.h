@@ -5,7 +5,11 @@
 // cancellations, but a std::unordered_map would (a) allocate a node per
 // insert — breaking the zero-allocation steady-state tick the alloc tests
 // enforce — and (b) expose iteration in hash order, which the determinism
-// analyzer bans from scheduling code. FlatIdMap fixes both:
+// analyzer bans from scheduling code. The same holds for the tables keyed
+// by resource that are created on a resource's first touch (a Schedule's
+// probe lists, the scheduler's ResourceHealth, the FaultInjector's
+// states): sized by the touched resources, not the fleet. FlatIdMap fixes
+// both:
 //
 //   * Linear probing over one flat power-of-two table (three parallel
 //     arrays: key, value, occupancy). Insert allocates only when the load
@@ -71,8 +75,29 @@ class FlatIdMap {
     ++size_;
   }
 
+  /// The value mapped to `key`, and whether this call created it: an absent
+  /// key is first mapped to a value-initialized V. One probe walk, plus a
+  /// second only when the insert grows the table. The pointer is valid
+  /// until the next Insert/FindOrInsert/Erase.
+  std::pair<V*, bool> FindOrInsert(uint64_t key) {
+    if (!used_.empty()) {
+      size_t i = Slot(key);
+      while (used_[i]) {
+        if (keys_[i] == key) return {&values_[i], false};
+        i = (i + 1) & mask_;
+      }
+      if ((size_ + 1) * kLoadDen <= capacity() * kMaxLoadNum) {
+        return {&Claim(i, key), true};
+      }
+    }
+    Rehash(capacity() == 0 ? kMinCapacity : capacity() * 2);
+    size_t i = Slot(key);
+    while (used_[i]) i = (i + 1) & mask_;
+    return {&Claim(i, key), true};
+  }
+
   /// Pointer to the value mapped to `key`, or nullptr. Valid until the next
-  /// Insert/Erase.
+  /// Insert/FindOrInsert/Erase.
   V* Find(uint64_t key) {
     const size_t i = FindSlot(key);
     return i == kNotFound ? nullptr : &values_[i];
@@ -160,12 +185,22 @@ class FlatIdMap {
     return kNotFound;
   }
 
+  // Maps free slot `i` to `key` with a value-initialized value (the slot
+  // may still hold an erased entry's value).
+  V& Claim(size_t i, uint64_t key) {
+    used_[i] = 1;
+    keys_[i] = key;
+    values_[i] = V();
+    ++size_;
+    return values_[i];
+  }
+
   void Rehash(size_t new_capacity) {
     std::vector<uint64_t> old_keys = std::move(keys_);
     std::vector<V> old_values = std::move(values_);
     std::vector<uint8_t> old_used = std::move(used_);
     keys_.assign(new_capacity, 0);
-    values_.assign(new_capacity, V{});
+    values_.assign(new_capacity, V());
     used_.assign(new_capacity, 0);
     mask_ = new_capacity - 1;
     size_ = 0;

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <numeric>
+#include <set>
+#include <utility>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace webmon {
 namespace {
@@ -234,6 +240,124 @@ TEST(FaultInjectorTest, PerResourceStreamsAreIndependent) {
     EXPECT_EQ(injector.OnProbe(0, t), expected[static_cast<size_t>(t)])
         << "chronon " << t;
   }
+}
+
+// First-touch identity: a resource's state is created on its first
+// OnProbe or InOutage with its streams seeded from (seed, resource) alone,
+// so neither the order nor the chronon nor the call of first touches may
+// change a draw. The spec exercises every draw: incidents, rate limits,
+// timeouts, outages and transients.
+constexpr uint32_t kTouchResources = 48;
+constexpr Chronon kTouchChronons = 120;
+constexpr uint64_t kTouchSeed = 0x5EED;
+
+FaultSpec FirstTouchSpec() {
+  FaultSpec spec;
+  spec.defaults.transient_error_prob = 0.2;
+  spec.defaults.timeout_prob = 0.05;
+  spec.defaults.outage_enter_prob = 0.05;
+  spec.defaults.outage_exit_prob = 0.3;
+  spec.defaults.outage_fail_prob = 0.9;
+  for (ResourceId r = 0; r < kTouchResources; r += 5) {
+    ResourceFaultProfile limited = spec.defaults;
+    limited.rate_limit_window = 6;
+    limited.rate_limit_max = 3;
+    spec.overrides[r] = limited;
+  }
+  IncidentDomain domain;
+  domain.name = "edge";
+  domain.stride = 3;
+  domain.enter_prob = 0.05;
+  domain.exit_prob = 0.2;
+  domain.fail_prob = 0.7;
+  spec.incidents.push_back(domain);
+  return spec;
+}
+
+// Resource r is first probed at chronon (13 r) mod 50, then at two of
+// every three chronons.
+bool Planned(ResourceId r, Chronon t) {
+  const auto first = static_cast<Chronon>((r * 13) % 50);
+  return t == first || (t > first && (t + r) % 3 != 0);
+}
+
+struct Touches {
+  std::map<std::pair<ResourceId, Chronon>, ProbeOutcome> outcomes;
+  std::map<std::pair<ResourceId, Chronon>, bool> outages;
+};
+
+enum class TouchOrder { kAscending, kShuffled };
+// How each resource is first touched: by its first planned OnProbe, by an
+// InOutage just before it, or by an InOutage of every resource at chronon
+// 0 (as if every state existed from construction).
+enum class FirstTouch { kProbe, kOutage, kAllAtZero };
+
+// Runs the plan on a fresh injector, asking OnProbe and InOutage at every
+// planned (resource, chronon), resources in `order` within a chronon.
+Touches RunPlan(TouchOrder order, FirstTouch first) {
+  FaultInjector injector(FirstTouchSpec(), kTouchResources, kTouchSeed);
+  if (first == FirstTouch::kAllAtZero) {
+    for (ResourceId r = 0; r < kTouchResources; ++r) {
+      (void)injector.InOutage(r, 0);
+    }
+  }
+  std::vector<ResourceId> resources(kTouchResources);
+  std::iota(resources.begin(), resources.end(), ResourceId{0});
+  Rng shuffle(17);
+  Touches out;
+  for (Chronon t = 0; t < kTouchChronons; ++t) {
+    if (order == TouchOrder::kShuffled) shuffle.Shuffle(resources);
+    for (ResourceId r : resources) {
+      if (!Planned(r, t)) continue;
+      const std::pair<ResourceId, Chronon> key{r, t};
+      if (first == FirstTouch::kOutage) {
+        out.outages[key] = injector.InOutage(r, t);
+        out.outcomes[key] = injector.OnProbe(r, t);
+      } else {
+        out.outcomes[key] = injector.OnProbe(r, t);
+        out.outages[key] = injector.InOutage(r, t);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(FaultInjectorFirstTouchTest, PlanDrawsEveryOutcome) {
+  const Touches touches = RunPlan(TouchOrder::kAscending, FirstTouch::kProbe);
+  std::set<ProbeOutcome> seen;
+  for (const auto& [key, outcome] : touches.outcomes) seen.insert(outcome);
+  EXPECT_EQ(seen.size(), 6u) << "the plan must exercise every draw";
+  int outage_chronons = 0;
+  for (const auto& [key, bad] : touches.outages) outage_chronons += bad;
+  EXPECT_GT(outage_chronons, 0);
+}
+
+TEST(FaultInjectorFirstTouchTest, ResourceOrderChangesNoOutcome) {
+  const Touches ascending =
+      RunPlan(TouchOrder::kAscending, FirstTouch::kProbe);
+  const Touches shuffled = RunPlan(TouchOrder::kShuffled, FirstTouch::kProbe);
+  EXPECT_EQ(ascending.outcomes, shuffled.outcomes);
+  EXPECT_EQ(ascending.outages, shuffled.outages);
+}
+
+TEST(FaultInjectorFirstTouchTest, FirstChrononChangesNoOutcome) {
+  // Resources first touched at chronons 0-49 against every resource
+  // touched at chronon 0.
+  const Touches staggered =
+      RunPlan(TouchOrder::kAscending, FirstTouch::kProbe);
+  const Touches all_at_zero =
+      RunPlan(TouchOrder::kAscending, FirstTouch::kAllAtZero);
+  EXPECT_EQ(staggered.outcomes, all_at_zero.outcomes);
+  EXPECT_EQ(staggered.outages, all_at_zero.outages);
+}
+
+TEST(FaultInjectorFirstTouchTest, OnProbeFirstMatchesInOutageFirst) {
+  const Touches probe_first =
+      RunPlan(TouchOrder::kShuffled, FirstTouch::kProbe);
+  const Touches outage_first =
+      RunPlan(TouchOrder::kShuffled, FirstTouch::kOutage);
+  EXPECT_EQ(probe_first.outcomes, outage_first.outcomes);
+  EXPECT_EQ(probe_first.outages, outage_first.outages);
 }
 
 TEST(ProbeOutcomeTest, Strings) {

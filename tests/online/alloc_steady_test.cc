@@ -424,6 +424,84 @@ TEST(AllocSteadyTest, ProxyWritePathStaysWithinItsAllocationBudget) {
   EXPECT_GT(proxy.stats().pushes_delivered, 0);
 }
 
+// Footprint of the per-resource tables: a Schedule, a FaultInjector and an
+// injected OnlineScheduler over a million resources allocate in proportion
+// to the resources a run touches (a few hundred here), beyond the
+// scheduler's dense per-resource arrays: one 8-byte gate word and two
+// 1-byte masks per resource, which the rank scan reads per candidate.
+constexpr uint32_t kFleet = 1'000'000;
+constexpr Chronon kFleetChronons = 100;
+constexpr int64_t kTouchedBytes = int64_t{1} << 20;
+
+FaultSpec FlakySpec() {
+  FaultSpec spec;
+  spec.defaults.transient_error_prob = 0.2;
+  spec.defaults.timeout_prob = 0.05;
+  spec.defaults.outage_enter_prob = 0.02;
+  spec.defaults.outage_exit_prob = 0.3;
+  return spec;
+}
+
+TEST(AllocFootprintTest, ScheduleAllocatesPerProbedResource) {
+  Rng rng(7);
+  const AllocSnapshot before = SnapshotAllocCounters();
+  Schedule schedule(kFleet, kFleetChronons);
+  for (Chronon t = 0; t < kFleetChronons; ++t) {
+    for (int i = 0; i < 4; ++i) {
+      const auto r = static_cast<ResourceId>(rng.UniformU64(kFleet));
+      ASSERT_TRUE(schedule.AddProbe(r, t).ok());
+    }
+  }
+  const AllocSnapshot after = SnapshotAllocCounters();
+  EXPECT_EQ(schedule.TotalProbes(), 4 * kFleetChronons);
+  EXPECT_LT(after.bytes - before.bytes, kTouchedBytes);
+}
+
+TEST(AllocFootprintTest, InjectorAllocatesPerTouchedResource) {
+  Rng rng(8);
+  const AllocSnapshot before = SnapshotAllocCounters();
+  FaultInjector injector(FlakySpec(), kFleet, /*seed=*/0xF00D);
+  int failures = 0;
+  for (Chronon t = 0; t < kFleetChronons; ++t) {
+    for (int i = 0; i < 4; ++i) {
+      const auto r = static_cast<ResourceId>(rng.UniformU64(kFleet));
+      failures += !ProbeSucceeded(injector.OnProbe(r, t));
+      (void)injector.InOutage(r ^ 1, t);
+    }
+  }
+  const AllocSnapshot after = SnapshotAllocCounters();
+  EXPECT_GT(failures, 0);
+  EXPECT_LT(after.bytes - before.bytes, kTouchedBytes);
+}
+
+TEST(AllocFootprintTest, InjectedSchedulerAllocatesPerAttemptedResource) {
+  const std::vector<Cei> ceis =
+      MakeWorkload(kFleet, kFleetChronons, /*arrival_chronons=*/50,
+                   /*per_chronon=*/6, /*seed=*/9);
+  FaultInjector injector(FlakySpec(), kFleet, /*seed=*/0xF00D);
+  auto policy = MakePolicy("m-edf", 17);
+  ASSERT_TRUE(policy.ok()) << policy.status();
+  SchedulerOptions options;
+  options.fault_injector = &injector;
+
+  const AllocSnapshot before = SnapshotAllocCounters();
+  OnlineScheduler scheduler(kFleet, kFleetChronons, BudgetVector::Uniform(4),
+                            policy->get(), options);
+  size_t next = 0;
+  for (Chronon t = 0; t < kFleetChronons; ++t) {
+    while (next < ceis.size() && ceis[next].arrival == t) {
+      ASSERT_TRUE(scheduler.AddArrival(&ceis[next], t).ok());
+      ++next;
+    }
+    ASSERT_TRUE(scheduler.Step(t, nullptr, nullptr).ok());
+  }
+  const AllocSnapshot after = SnapshotAllocCounters();
+  EXPECT_GT(scheduler.stats().probes_issued, 300);
+  EXPECT_GT(scheduler.stats().probes_failed, 0);
+  const int64_t dense = int64_t{kFleet} * (8 + 1 + 1);
+  EXPECT_LT(after.bytes - before.bytes, dense + kTouchedBytes);
+}
+
 // The counting operator new itself must observe this binary's allocations
 // (meta-check that the macro is actually wired in).
 TEST(AllocSteadyTest, CountingOperatorNewIsActive) {

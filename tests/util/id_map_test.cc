@@ -46,14 +46,15 @@ TEST(FlatIdMapTest, MatchesReferenceMapUnderRandomChurn) {
   // Differential check of the open-addressing table — in particular the
   // backward-shift deletion, whose displaced-slot reasoning is the part a
   // unit test of single operations can't exercise — against
-  // std::unordered_map over a long random insert/overwrite/erase/find
-  // trace with a deliberately small key range to force probe collisions.
+  // std::unordered_map over a long random insert/overwrite/erase/find/
+  // find-or-insert trace with a deliberately small key range to force probe
+  // collisions.
   FlatIdMap<uint64_t> map;
   std::unordered_map<uint64_t, uint64_t> reference;
   Rng rng(99);
   for (int step = 0; step < 60000; ++step) {
     const uint64_t key = rng.UniformU64(512);
-    switch (rng.UniformU64(4)) {
+    switch (rng.UniformU64(5)) {
       case 0:
       case 1: {
         const uint64_t value = rng.UniformU64(1u << 30);
@@ -64,6 +65,17 @@ TEST(FlatIdMapTest, MatchesReferenceMapUnderRandomChurn) {
       case 2: {
         const bool erased = map.Erase(key);
         EXPECT_EQ(erased, reference.erase(key) > 0) << "key " << key;
+        break;
+      }
+      case 3: {
+        // A created entry is value-initialized, also in a slot an erased
+        // entry left its value in.
+        const auto [value, created] = map.FindOrInsert(key);
+        auto it = reference.find(key);
+        EXPECT_EQ(created, it == reference.end()) << "key " << key;
+        EXPECT_EQ(*value, created ? 0 : it->second) << "key " << key;
+        *value = rng.UniformU64(1u << 30);
+        reference[key] = *value;
         break;
       }
       default: {

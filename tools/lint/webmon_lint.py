@@ -28,8 +28,9 @@ Rules:
              and silently exempts its file from the lock-discipline checks.
              Tests are exempt (they exercise the primitives directly).
   hotpath    Inside the Tick-phase hot functions of the online scheduler,
-             the policies' per-chronon hooks and the proxy's per-event
-             write path (HOTPATH_FUNCTIONS below), no by-value
+             the policies' per-chronon hooks, the per-probe bookkeeping
+             of the schedule and the fault injector, and the proxy's
+             per-event write path (HOTPATH_FUNCTIONS below), no by-value
              construction of std::vector/std::map locals and no
              push_back/emplace_back
              without a `hotpath-alloc-ok:` justification comment on the
@@ -108,16 +109,22 @@ LINE_COMMENT = re.compile(r"//.*$")
 # grow them without an explicit justification. Keyed by repo-relative file
 # pattern (fnmatch); the named methods are the ones on the
 # OnlineScheduler::Step call path, including the policy hooks the rank
-# phase calls once per chronon or once per candidate, and the proxy's
-# write path: Tick's drain and the Submit/Push/Cancel closure bodies,
-# which run once per ingested event.
+# phase calls once per chronon or once per candidate, the per-probe
+# bookkeeping it calls once per attempt (the schedule's probe lists, the
+# injector's draw and the scheduler's health entry, with the helpers that
+# create a resource's entry on its first touch), and the proxy's write
+# path: Tick's drain and the Submit/Push/Cancel closure bodies, which run
+# once per ingested event.
 HOTPATH_FUNCTIONS = {
     "src/online/online_scheduler.cc": {
         "Step", "RankScan", "Activate", "AdmitActive", "ProcessExpiries",
         "MarkFailed", "RetireTerminalState", "MoveSlot", "ResizeSlots",
         "IssueProbe", "RecordProbe", "Capture", "IndexPush", "RebuildIndex",
         "SelectFromIndex", "RekeyCei", "CaptureSlots", "SweepSlots",
+        "RecordOutcome", "TouchHealth",
     },
+    "src/model/schedule.cc": {"AddProbe", "ReserveProbesAt"},
+    "src/faults/fault_model.cc": {"OnProbe", "TouchState"},
     "src/online/proxy.cc": {
         "Tick", "MakeSubmitEventLocked", "MakePushEventLocked",
         "MakeCancelEventLocked",
