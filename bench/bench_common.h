@@ -121,32 +121,25 @@ Status FlagValueError(const std::string& name, const std::string& token,
   return Status::InvalidArgument(message + "]");
 }
 
-/// Parses the comma-separated list flag `--name` into values in [min, max].
-/// Every non-empty token must parse whole (ParseInt64 for integer T,
-/// ParseDouble for floating T) and lie in the range; empty tokens are
-/// skipped, so an empty list parses to an empty vector. Anything else is an
-/// InvalidArgument naming the flag and the token: the benches turn it into
-/// exit 2 instead of an uncaught exception, a silently truncated token or
-/// a negative count wrapped to a huge unsigned one.
+/// Parses the comma-separated integer list flag `--name` into values in
+/// [min, max]. Every non-empty token must parse whole (ParseInt64) and lie
+/// in the range; empty tokens are skipped, so an empty list parses to an
+/// empty vector. Anything else is an InvalidArgument naming the flag and
+/// the token: the benches turn it into exit 2 instead of an uncaught
+/// exception, a silently truncated token or a negative count wrapped to a
+/// huge unsigned one.
 template <typename T>
 StatusOr<std::vector<T>> ParseListFlag(const FlagSet& flags,
                                        const std::string& name, T min,
                                        T max) {
-  using Parsed =
-      std::conditional_t<std::is_floating_point_v<T>, double, int64_t>;
+  static_assert(std::is_integral_v<T>, "list flags hold integers");
   std::vector<T> values;
   for (const std::string& token : Split(flags.GetString(name), ',')) {
     if (StripWhitespace(token).empty()) continue;
-    Parsed value{};
-    bool parsed = false;
-    if constexpr (std::is_floating_point_v<T>) {
-      parsed = ParseDouble(token, &value);
-    } else {
-      parsed = ParseInt64(token, &value);
-    }
-    // The range test runs before any narrowing, and NaN fails it.
-    if (!parsed || !(value >= static_cast<Parsed>(min) &&
-                     value <= static_cast<Parsed>(max))) {
+    int64_t value = 0;
+    // The range test runs before any narrowing.
+    if (!ParseInt64(token, &value) || value < static_cast<int64_t>(min) ||
+        value > static_cast<int64_t>(max)) {
       return FlagValueError(name, token, min, max);
     }
     values.push_back(static_cast<T>(value));

@@ -109,7 +109,8 @@ bool operator==(const IncidentDomain& a, const IncidentDomain& b) {
 }
 
 DomainCoverage::DomainCoverage(const std::vector<IncidentDomain>& domains,
-                               uint32_t num_resources) {
+                               uint32_t num_resources)
+    : num_domains_(domains.size()) {
   if (domains.empty()) return;
   offsets_.reserve(size_t{num_resources} + 1);
   offsets_.push_back(0);

@@ -95,8 +95,8 @@ struct IncidentDomain {
 
 /// Resource -> covering incident domains, resolved once and stored flat:
 /// the indices of the domains covering resource r are ids[offsets[r] ..
-/// offsets[r+1]), ascending. Shared by FaultInjector and IncidentDetector,
-/// so both resolve coverage identically.
+/// offsets[r+1]), ascending. The FaultInjector resolves it once and the
+/// IncidentDetector watching the same run reads the injector's table.
 class DomainCoverage {
  public:
   /// Empty coverage: every resource is uncovered.
@@ -112,7 +112,11 @@ class DomainCoverage {
             ids_.data() + offsets_[resource + 1]};
   }
 
+  /// The number of domains resolved (covering a resource or not).
+  size_t num_domains() const { return num_domains_; }
+
  private:
+  size_t num_domains_ = 0;
   // num_resources + 1 prefix offsets into ids_; empty without domains.
   std::vector<uint32_t> offsets_;
   std::vector<uint32_t> ids_;
@@ -194,6 +198,9 @@ class FaultInjector {
   std::span<const uint32_t> DomainsCovering(ResourceId resource) const {
     return coverage_.DomainsCovering(resource);
   }
+  /// The resolved resource -> covering-domains table (empty without
+  /// incident domains).
+  const DomainCoverage& coverage() const { return coverage_; }
 
   size_t num_incident_domains() const { return domains_.size(); }
 

@@ -9,17 +9,17 @@
 
 namespace webmon {
 
-IncidentDetector::IncidentDetector(const FaultSpec& spec,
+IncidentDetector::IncidentDetector(const DomainCoverage& coverage,
                                    uint32_t num_resources,
                                    const FaultHandlingOptions& options)
-    : options_(options), coverage_(spec.incidents, num_resources) {
-  if (spec.incidents.empty()) return;
-  domains_.resize(spec.incidents.size());
+    : options_(options), coverage_(&coverage) {
+  if (coverage.num_domains() == 0) return;
+  domains_.resize(coverage.num_domains());
   const size_t slots =
       static_cast<size_t>(std::max<Chronon>(options_.incident_window, 1)) + 1;
   for (Domain& domain : domains_) domain.window.resize(slots);
   for (uint32_t r = 0; r < num_resources; ++r) {
-    for (uint32_t d : coverage_.DomainsCovering(r)) {
+    for (uint32_t d : coverage.DomainsCovering(r)) {
       domains_[d].members.push_back(r);
     }
   }
@@ -80,7 +80,7 @@ void IncidentDetector::RecordAttempt(ResourceId resource, Chronon now,
                                      bool success) {
   WEBMON_CHECK(now == cursor_)
       << "RecordAttempt must follow BeginChronon for the same chronon";
-  for (uint32_t d : coverage_.DomainsCovering(resource)) {
+  for (uint32_t d : coverage_->DomainsCovering(resource)) {
     Domain& domain = domains_[d];
     WindowEntry& entry =
         domain.window[static_cast<size_t>(now) % domain.window.size()];
@@ -120,7 +120,7 @@ bool IncidentDetector::TrialDue(size_t domain, ResourceId* resource) const {
 }
 
 bool IncidentDetector::OpenFor(ResourceId resource) const {
-  for (uint32_t d : coverage_.DomainsCovering(resource)) {
+  for (uint32_t d : coverage_->DomainsCovering(resource)) {
     if (domains_[d].open) return true;
   }
   return false;
@@ -128,7 +128,7 @@ bool IncidentDetector::OpenFor(ResourceId resource) const {
 
 bool IncidentDetector::Suppressed(ResourceId resource) const {
   bool any_open = false;
-  for (uint32_t d : coverage_.DomainsCovering(resource)) {
+  for (uint32_t d : coverage_->DomainsCovering(resource)) {
     const Domain& domain = domains_[d];
     if (!domain.open) continue;
     any_open = true;
@@ -161,7 +161,8 @@ Status AuditIncidentRun(const FaultSpec& spec, uint32_t num_resources,
     if (report != nullptr) *report = IncidentAuditReport{};
     return Status::OK();
   }
-  IncidentDetector detector(spec, num_resources, options);
+  const DomainCoverage coverage(spec.incidents, num_resources);
+  IncidentDetector detector(coverage, num_resources, options);
   IncidentAuditReport derived;
   Chronon cursor = -1;
   for (const ProbeAttempt& a : attempts) {

@@ -20,8 +20,8 @@
 //
 // The detector is shared between OnlineScheduler (which feeds it live
 // outcomes) and the audit layer (which replays a recorded log against it);
-// it lives in src/faults because it needs the FaultSpec's domain coverage,
-// never the injector's chain state.
+// it lives in src/faults because it reads the domain coverage the
+// FaultInjector resolved, never the injector's chain state.
 
 #ifndef WEBMON_FAULTS_INCIDENT_DETECTOR_H_
 #define WEBMON_FAULTS_INCIDENT_DETECTOR_H_
@@ -45,11 +45,14 @@ struct IncidentDetectorStats {
 
 class IncidentDetector {
  public:
-  /// Resolves `spec.incidents` coverage against `resources` in
-  /// [0, num_resources); domains without a covered resource are inert.
-  /// Only the incident_* fields of `options` are consulted.
-  IncidentDetector(const FaultSpec& spec, uint32_t num_resources,
+  /// Watches the domains `coverage` resolves (in a scheduler, its fault
+  /// injector's table), over the resources in [0, num_resources); domains
+  /// without a covered resource are inert. `coverage` must outlive the
+  /// detector. Only the incident_* fields of `options` are consulted.
+  IncidentDetector(const DomainCoverage& coverage, uint32_t num_resources,
                    const FaultHandlingOptions& options);
+  IncidentDetector(DomainCoverage&& coverage, uint32_t num_resources,
+                   const FaultHandlingOptions& options) = delete;
 
   /// Advances the detector to chronon `now` (catching up over gaps one
   /// chronon at a time, so stepping patterns cannot change decisions):
@@ -71,7 +74,7 @@ class IncidentDetector {
   /// True iff some domain covers `resource`. Suppressed() is always false
   /// for an uncovered resource.
   bool Covers(ResourceId resource) const {
-    return !coverage_.DomainsCovering(resource).empty();
+    return !coverage_->DomainsCovering(resource).empty();
   }
   /// True iff `domain` is open and scheduled an end-of-incident trial for
   /// the current chronon; `*resource` receives the trial member. The
@@ -115,7 +118,7 @@ class IncidentDetector {
 
   FaultHandlingOptions options_;
   std::vector<Domain> domains_;
-  DomainCoverage coverage_;
+  const DomainCoverage* coverage_;
   // Domains whose breaker is open: +1 when AdvanceOne opens one, -1 when a
   // trial in RecordAttempt closes one.
   size_t open_domains_ = 0;

@@ -140,8 +140,9 @@ StatusOr<IngestionRunResult> RunConcurrentIngestion(
   result.log = proxy.arrival_log();
   result.ingestion = proxy.ingestion_stats();
   result.stats = proxy.stats();
-  for (ResourceId r = 0; r < options.num_resources; ++r) {
-    result.probes.push_back(proxy.schedule().ProbesOf(r));
+  result.probes_at.reserve(static_cast<size_t>(options.horizon));
+  for (Chronon t = 0; t < options.horizon; ++t) {
+    result.probes_at.push_back(proxy.schedule().ProbesAt(t));
   }
   result.attempts = proxy.attempt_log();
   result.completeness = proxy.CompletenessSoFar();
@@ -160,9 +161,10 @@ Status VerifyReplayIdentity(const IngestionRunResult& result,
     return Status::Internal("replay diverged from the concurrent run: " +
                             what);
   };
-  for (ResourceId r = 0; r < options.num_resources; ++r) {
-    if (result.probes[r] != replay->schedule.ProbesOf(r)) {
-      return mismatch("probe stream of resource " + std::to_string(r));
+  for (Chronon t = 0; t < options.horizon; ++t) {
+    if (result.probes_at[static_cast<size_t>(t)] !=
+        replay->schedule.ProbesAt(t)) {
+      return mismatch("probes at chronon " + std::to_string(t));
     }
   }
   const SchedulerStats& a = result.stats;

@@ -45,8 +45,9 @@ struct IngestionRunResult {
   ArrivalLog log;
   IngestionStats ingestion;
   SchedulerStats stats;
-  /// Probe chronons per resource, in probe order.
-  std::vector<std::vector<Chronon>> probes;
+  /// probes_at[t]: the resources probed at chronon t, in issue order
+  /// (Schedule::ProbesAt), for every t below the horizon.
+  std::vector<std::vector<ResourceId>> probes_at;
   std::vector<ProbeAttempt> attempts;
   /// Capture / expiry / cancellation callback streams, in firing order.
   std::vector<std::pair<Chronon, CeiId>> captured;
@@ -68,9 +69,10 @@ StatusOr<IngestionRunResult> RunConcurrentIngestion(
 
 /// Replays `result.log` serially (fresh proxy, `policy`, and
 /// `options.scheduler` — including any fault injector — must be configured
-/// exactly as the recorded run) and compares schedules, stats, callback
-/// streams, and attempt logs. OK iff byte-identical; Internal with a
-/// description of the first divergence otherwise.
+/// exactly as the recorded run) and compares schedules (each chronon's
+/// probes, in issue order), stats, callback streams, and attempt logs. OK
+/// iff byte-identical; Internal with a description of the first
+/// divergence otherwise.
 Status VerifyReplayIdentity(const IngestionRunResult& result,
                             std::unique_ptr<Policy> policy,
                             const IngestionDriverOptions& options);

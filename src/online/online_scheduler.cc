@@ -62,7 +62,8 @@ OnlineScheduler::OnlineScheduler(uint32_t num_resources, Chronon num_chronons,
       gt_window_detected_.assign(spec.incidents.size(), 0);
       if (options_.fault_handling.incident_detection) {
         detector_ = std::make_unique<IncidentDetector>(
-            spec, num_resources, options_.fault_handling);
+            options_.fault_injector->coverage(), num_resources,
+            options_.fault_handling);
       }
     }
     // Every resource starts healthy; its health entry is created by its
@@ -267,7 +268,6 @@ Status OnlineScheduler::AddArrival(const Cei* cei, Chronon now) {
   }
   CeiState* state = &states_[state_index];
   state->index = state_index;
-  state->admitted_at = now;
   // Amortized map growth; pre-reservable through
   // SchedulerSizingHints::expected_ceis. Outside the Step hot path, so the
   // zero-allocation tick contract is untouched.
@@ -283,8 +283,8 @@ Status OnlineScheduler::AddArrival(const Cei* cei, Chronon now) {
   // state: an EI starting inside the epoch sits in its finish bucket when
   // its window closes inside the epoch, else only in its start bucket (EIs
   // starting at or beyond the epoch end are never indexed). Whether each
-  // reference is later tombstoned, drained or skipped does not matter:
-  // after that chronon none can be read again.
+  // reference is later drained or skipped does not matter: after that
+  // chronon none can be read again.
   Chronon held_until = 0;
   for (uint32_t i = 0; i < state->num_eis; ++i) {
     const ExecutionInterval& ei = cei->eis[i];
@@ -375,55 +375,14 @@ Status OnlineScheduler::RemoveCei(CeiId id, Chronon now) {
   if (ordered_) state_gen_[state_index] |= 1;
   ++stats_.ceis_cancelled;
 
-  // Incrementally unwind the candidate index. The slot columns, top-C
-  // boards, and the policy's BeginChronon view all screen on IsLive() /
-  // !dead, and the ordered index and slot buckets on the generation word,
-  // so the dead flag alone removes the CEI from ranking and capture as of
-  // this chronon; the per-chronon event-ring entries are additionally
-  // tombstoned so cancel-heavy runs compact them away (amortized O(1))
-  // instead of dragging them to their drain chronon.
-  // Two passes: note every tombstone before any compaction runs. A
-  // compaction's keep filter evicts ALL of this now-dead CEI's entries in
-  // the bucket it rewrites — compacting after the first sibling's note
-  // would leave later siblings in the same bucket noting entries already
-  // gone, over-counting `dead` past the bucket's size.
-  const auto keep = [](const CandidateEi& cand) { return cand.IsLive(); };
-  for (const bool compact : {false, true}) {
-    for (uint32_t i = 0; i < state->num_eis; ++i) {
-      if (state->Spent(i)) continue;
-      const ExecutionInterval& ei = state->cei->eis[i];
-      if (ei.start > last_step_ && ei.start > state->admitted_at) {
-        // Parked in its start chronon's pending bucket: pushed there
-        // because it started after admission, undrained because Activate
-        // has not reached the bucket. (Starts at or beyond the epoch end
-        // were never indexed at all.) A bucket shared by several of this
-        // CEI's EIs compacts on the first call and no-ops on the rest (its
-        // dead count resets to zero).
-        if (ei.start >= num_chronons_) continue;
-        if (compact) {
-          pending_ring_.CompactIfStale(ei.start, keep);
-        } else {
-          pending_ring_.NoteDead(ei.start);
-        }
-      } else if (ei.finish > last_step_ && ei.finish < num_chronons_) {
-        // Activated (admitted on arrival, or its start chronon was
-        // stepped) and unexpired: registered in its finish chronon's
-        // expiry bucket, which no Step has drained yet. A window closing
-        // at last_step_ is skipped: a callback of Step(last_step_) may be
-        // cancelling while that very bucket drains.
-        if (compact) {
-          expiring_ring_.CompactIfStale(ei.finish, keep);
-        } else {
-          expiring_ring_.NoteDead(ei.finish);
-        }
-      }
-    }
-  }
-  // A cancelled CEI's slot-column entries fall to the NEXT compaction —
-  // the rank pass Step(now) runs — so the state is releasable once every
-  // ring bucket that still mentions it has passed (RetireTerminalState's
-  // release formula; the tombstone compaction above may already have
-  // evicted some, which only makes the lingering references fewer).
+  // The flags alone remove the CEI from ranking and capture as of this
+  // chronon: the slot columns, top-C boards and the policy's BeginChronon
+  // view screen on IsLive() / !dead, the ordered index and slot buckets on
+  // the generation word, and Activate and ProcessExpiries skip its pending
+  // and expiry entries where those buckets drain, as they skip a captured
+  // or expired CEI's. Its slot-column entries fall to the rank pass
+  // Step(now) runs, so the state is releasable once every ring bucket that
+  // still names it has drained (RetireTerminalState's release formula).
   retire_floor_ = now;
   RetireTerminalState(*state);
   if (on_cei_cancelled_) on_cei_cancelled_(*state->cei);

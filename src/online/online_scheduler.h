@@ -287,17 +287,18 @@ class OnlineScheduler {
 
   /// Cancels a previously registered CEI at chronon `now`, which must be the
   /// next chronon to step, as for AddArrival (mid-epoch profile churn;
-  /// FailedPrecondition otherwise). A still-pending CEI is removed: it is
-  /// never probed again, its event-ring entries are purged or tombstoned
-  /// (amortized-O(1) compaction), its slot-column entries fall to the next
-  /// compaction's lazy pruning (on the ordered path its slot entries and
-  /// index entries are screened out and deleted lazily), and
-  /// on_cei_cancelled fires. A CEI that
-  /// already completed or expired yields a deterministic no-op (the
-  /// `cancels_noop` counter) — never an error, because the caller (the
-  /// Proxy mailbox) cannot observe scheduler state when it accepts the
-  /// cancel. Per-resource fault health (backoff, breaker, EWMA) is
-  /// deliberately retained: it describes the resource, not the need.
+  /// FailedPrecondition otherwise). A still-pending CEI is removed in O(1):
+  /// it is flagged dead and never probed again, and on_cei_cancelled fires.
+  /// Its index entries go the way a captured or expired CEI's do: pending
+  /// and expiry entries are skipped where their buckets drain, slot-column
+  /// entries fall to the next compaction's lazy pruning (on the ordered
+  /// path slot entries and index entries are screened out and deleted
+  /// lazily). A CEI that already completed or expired yields a
+  /// deterministic no-op (the `cancels_noop` counter) — never an error,
+  /// because the caller (the Proxy mailbox) cannot observe scheduler state
+  /// when it accepts the cancel. Per-resource fault health (backoff,
+  /// breaker, EWMA) is deliberately retained: it describes the resource,
+  /// not the need.
   /// Fails on an id the scheduler never saw.
   Status RemoveCei(CeiId id, Chronon now);
 

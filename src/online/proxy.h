@@ -161,10 +161,11 @@ class Proxy {
   Status Push(ResourceId resource);
 
   /// Cancels need `id` (mid-epoch profile churn): the CEI stops being
-  /// scheduled as of the chronon the cancel is stamped with, its index
-  /// entries are unwound incrementally, and the on-cancelled callback fires
-  /// during that chronon's Tick(). Thread-safe, same stamping rules as
-  /// Submit(); callable from CEI callbacks (lands next chronon).
+  /// scheduled as of the chronon the cancel is stamped with (an O(1) flag;
+  /// its index entries are dropped lazily, as a captured CEI's are), and
+  /// the on-cancelled callback fires during that chronon's Tick().
+  /// Thread-safe, same stamping rules as Submit(); callable from CEI
+  /// callbacks (lands next chronon).
   ///
   /// Validation under the mailbox lock: an id never assigned fails with
   /// NotFound, a second cancel of the same id with FailedPrecondition, and

@@ -32,7 +32,6 @@ CeiState::CeiState(const CeiState& other)
       dead(other.dead),
       cancelled(other.cancelled),
       index(other.index),
-      admitted_at(other.admitted_at),
       words_{other.words_[0], other.words_[1]} {
   if (other.spill_ != nullptr) {
     const size_t n = 2 * SpillWords();

@@ -60,11 +60,6 @@ struct alignas(64) CeiState {
   /// bookkeeping: the ordered candidate index keys its per-state generation
   /// words by it, and terminal-state reclamation its release chronons.
   uint32_t index = 0;
-  /// The chronon the scheduler registered this CEI at (AddArrival's `now`).
-  /// Scheduler bookkeeping: cancellation uses it to tell whether an EI was
-  /// admitted straight to the active index (start <= admitted_at) or parked
-  /// in its start chronon's pending bucket.
-  Chronon admitted_at = 0;
 
   /// True iff cei->eis[i] has been captured.
   bool Captured(uint32_t i) const {

@@ -1,6 +1,6 @@
 // Process-wide heap-allocation counting for the allocation-regression tests
-// and the sustained-throughput bench (docs/PERFORMANCE.md "Memory &
-// sustained throughput").
+// and perfbench's per-chronon tick allocations (docs/PERFORMANCE.md "Memory
+// & sustained throughput").
 //
 // The counters are only live in binaries that opt in by expanding
 // WEBMON_DEFINE_COUNTING_OPERATOR_NEW() in exactly one translation unit:
@@ -9,7 +9,7 @@
 // macro link the standard operators and GlobalAllocCounters() stays at
 // zero. Keep the macro out of the main test binary — replacing global
 // operator new is a whole-binary decision and belongs in small, dedicated
-// executables (webmon_alloc_test, bench_sustained).
+// executables (webmon_alloc_tests, perfbench).
 
 #ifndef WEBMON_UTIL_ALLOC_COUNTER_H_
 #define WEBMON_UTIL_ALLOC_COUNTER_H_

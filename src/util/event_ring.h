@@ -9,19 +9,16 @@
 // onto a free list, and after warm-up the chunk population stabilizes and no
 // call touches the heap (the Arena grows only on high-water marks).
 //
-// Items cannot be erased by key (chunks hold no per-item index), but a
-// caller that invalidates items logically (e.g. CEI cancellation) can
-// NoteDead each one and call CompactIfStale: once half a bucket is dead it
-// is rewritten in place — stable, allocation-free, amortized O(1) per dead
-// item — so cancel-heavy runs don't drag garbage to the drain. Filter is
-// the same rewrite without the threshold, and Visit reads a bucket without
-// draining it, so a ring can also hold long-lived items in buckets keyed
-// by something other than a chronon. Chunks return to the free list
-// through Drain, Filter and CompactIfStale.
+// Items cannot be erased by key (chunks hold no per-item index). A caller
+// that invalidates items logically (a captured, expired or cancelled CEI)
+// leaves them in place and skips them when their bucket drains; Filter
+// rewrites a bucket in place keeping the items a predicate accepts, and
+// Visit reads a bucket without draining it, so a ring can also hold
+// long-lived items in buckets keyed by something other than a chronon.
+// Chunks return to the free list through Drain and Filter.
 //
 // Determinism: per-bucket visit order is exactly push order, independent of
-// chunk placement (and of whether any compaction triggered). Not
-// thread-safe — single-owner, like the Arena.
+// chunk placement. Not thread-safe — single-owner, like the Arena.
 
 #ifndef WEBMON_UTIL_EVENT_RING_H_
 #define WEBMON_UTIL_EVENT_RING_H_
@@ -96,7 +93,6 @@ class EventRing {
     b.head = nullptr;
     b.tail = nullptr;
     b.size = 0;
-    b.dead = 0;
     while (c != nullptr) {
       Chunk* next = c->next;
       for (uint32_t i = 0; i < c->count; ++i) fn(c->items[i]);
@@ -115,30 +111,11 @@ class EventRing {
     }
   }
 
-  /// Records that one item already pushed to `bucket` has logically died
-  /// (the drain-time filter will skip it). Fuels CompactIfStale's trigger;
-  /// the caller is responsible for counting each dead item at most once.
-  void NoteDead(int64_t bucket) {
-    WEBMON_DCHECK(bucket >= 0 &&
-                  static_cast<size_t>(bucket) < buckets_.size())
-        << "event bucket " << bucket << " out of range";
-    Bucket& b = buckets_[static_cast<size_t>(bucket)];
-    ++b.dead;
-    WEBMON_DCHECK_LE(b.dead, b.size)
-        << "more dead items noted than bucket " << bucket << " holds";
-  }
-
-  /// Dead items noted against `bucket` since its last drain or filter
-  /// (diagnostics, tests).
-  uint32_t NotedDead(int64_t bucket) const {
-    return buckets_[static_cast<size_t>(bucket)].dead;
-  }
-
   /// Rewrites `bucket` in place keeping only the items for which keep(item)
   /// is true: stable (push order preserved) and allocation-free (emptied
   /// tail chunks recycle onto the free list). `keep` is called once per
-  /// item, in push order, and must not Push into this ring. Clears the
-  /// bucket's dead count. Returns the number of items removed.
+  /// item, in push order, and must not Push into this ring. Returns the
+  /// number of items removed.
   template <typename Keep>
   size_t Filter(int64_t bucket, Keep&& keep) {
     Bucket& b = buckets_[static_cast<size_t>(bucket)];
@@ -180,24 +157,7 @@ class EventRing {
     }
     const size_t removed = b.size - kept;
     b.size = kept;
-    b.dead = 0;
     return removed;
-  }
-
-  /// Filters `bucket` (see Filter) once at least half of its items have
-  /// been NoteDead'd: amortized O(1) per NoteDead by the usual halving
-  /// potential argument, since each compaction visits <= 2x the dead items
-  /// that paid for it. Returns true iff a compaction ran.
-  ///
-  /// Draining later sees exactly the same live items in the same order
-  /// whether or not a compaction triggered, so the threshold can never
-  /// alter a schedule.
-  template <typename Keep>
-  bool CompactIfStale(int64_t bucket, Keep&& keep) {
-    const Bucket& b = buckets_[static_cast<size_t>(bucket)];
-    if (b.dead == 0 || b.dead * 2 < b.size) return false;
-    Filter(bucket, keep);
-    return true;
   }
 
   /// Number of chunks ever carved from the arena (monotone; a flat curve
@@ -215,8 +175,6 @@ class EventRing {
     Chunk* head = nullptr;
     Chunk* tail = nullptr;
     uint32_t size = 0;
-    // Items noted dead since the last drain or filter (see NoteDead).
-    uint32_t dead = 0;
   };
 
   Chunk* AcquireChunk() {

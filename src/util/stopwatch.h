@@ -86,8 +86,8 @@ inline MemorySample SampleMemory() {
 
 /// Scoped peak-RSS / heap-delta sampler: captures a MemorySample at
 /// construction; the accessors report the change up to the call. Used by
-/// bench_sustained and bench_micro to report bytes/chronon alongside
-/// timings — wrap exactly the measured steady-state window.
+/// bench_micro to report bytes/chronon alongside timings — wrap exactly
+/// the measured steady-state window.
 class ScopedMemorySampler {
  public:
   ScopedMemorySampler() : start_(SampleMemory()) {}

@@ -201,7 +201,8 @@ IncidentGoldenRun RunIncidentGolden(bool varying_costs,
   golden.log = log.str();
 
   // Replaying the log through a fresh detector shows the breaker closed.
-  IncidentDetector detector(spec, problem.num_resources(),
+  const DomainCoverage coverage(spec.incidents, problem.num_resources());
+  IncidentDetector detector(coverage, problem.num_resources(),
                             options.fault_handling);
   Chronon cursor = -1;
   for (const ProbeAttempt& a : run->attempts) {

@@ -262,7 +262,8 @@ TEST(IncidentDetectorTest, OpensOnWindowedFailuresAndClosesOnTrials) {
   options.incident_open_threshold = 0.7;
   options.incident_reprobe_interval = 3;
   options.incident_close_successes = 2;
-  IncidentDetector detector(FleetOfFourSpec(), 4, options);
+  const DomainCoverage coverage(FleetOfFourSpec().incidents, 4);
+  IncidentDetector detector(coverage, 4, options);
   ASSERT_EQ(detector.num_domains(), 1u);
 
   // Two failing attempts per chronon: after chronon 1 the window holds 4
@@ -317,7 +318,8 @@ TEST(IncidentDetectorTest, FailedTrialResetsTheCloseCounter) {
   options.incident_open_threshold = 0.7;
   options.incident_reprobe_interval = 1;
   options.incident_close_successes = 2;
-  IncidentDetector detector(FleetOfFourSpec(), 4, options);
+  const DomainCoverage coverage(FleetOfFourSpec().incidents, 4);
+  IncidentDetector detector(coverage, 4, options);
 
   detector.BeginChronon(0);
   detector.RecordAttempt(0, 0, false);
@@ -348,8 +350,9 @@ TEST(IncidentDetectorTest, ChrononGapsMatchStepByStepAdvance) {
   FaultHandlingOptions options;
   options.incident_window = 4;
   options.incident_min_attempts = 3;
-  IncidentDetector jumpy(FleetOfFourSpec(), 4, options);
-  IncidentDetector steady(FleetOfFourSpec(), 4, options);
+  const DomainCoverage coverage(FleetOfFourSpec().incidents, 4);
+  IncidentDetector jumpy(coverage, 4, options);
+  IncidentDetector steady(coverage, 4, options);
 
   steady.BeginChronon(0);
   jumpy.BeginChronon(0);
@@ -370,8 +373,9 @@ TEST(IncidentDetectorTest, TrialSelectionIsDeterministic) {
   FaultHandlingOptions options;
   options.incident_min_attempts = 2;
   options.incident_reprobe_interval = 1;
-  IncidentDetector a(FleetOfFourSpec(), 4, options);
-  IncidentDetector b(FleetOfFourSpec(), 4, options);
+  const DomainCoverage coverage(FleetOfFourSpec().incidents, 4);
+  IncidentDetector a(coverage, 4, options);
+  IncidentDetector b(coverage, 4, options);
 
   for (IncidentDetector* det : {&a, &b}) {
     det->BeginChronon(0);
@@ -413,7 +417,8 @@ TEST(IncidentDetectorTest, AnyOpenFollowsEveryDomainThroughCloseAndReopen) {
   options.incident_min_attempts = 2;
   options.incident_reprobe_interval = 1;
   options.incident_close_successes = 1;
-  IncidentDetector detector(spec, 4, options);
+  const DomainCoverage coverage(spec.incidents, 4);
+  IncidentDetector detector(coverage, 4, options);
 
   auto expect_any_open_matches = [&](const std::string& after) {
     bool any = false;

@@ -268,10 +268,11 @@ TEST(AllocSteadyTest, OngoingArrivalsKeepStepAllocationsAmortizedConstant) {
 
 // Profile churn must not break the steady-state contract: a rolling
 // population where every chronon admits new needs AND cancels the oldest
-// still-live ones keeps ticking allocation-free once the slot columns,
-// rings, and id map have reached their high-water capacities — the cancel
-// path (tombstone notes, amortized compaction, backward-shift id-map
-// deletion) recycles everything it touches.
+// still-live ones keeps ticking allocation-free once the slot columns and
+// rings have reached their high-water capacities — a cancel only sets
+// flags, and its ring entries are dropped where their buckets drain, which
+// recycles their chunks. Without compact_terminal_states the id map keeps
+// every id it is given, so `expected_ceis` pre-sizes it.
 TEST(AllocSteadyTest, RollingInsertPlusCancelChurnStaysAllocationFree) {
   constexpr uint32_t kResources = 500;
   constexpr Chronon kChronons = 600;

@@ -28,33 +28,15 @@ TEST(EventRingTest, DrainVisitsPushOrderAcrossChunks) {
   EXPECT_TRUE(ring.Empty(2));
 }
 
-TEST(EventRingTest, CompactRequiresHalfDead) {
-  Arena arena;
-  EventRing<int64_t> ring(&arena, 2);
-  for (int64_t i = 0; i < 10; ++i) ring.Push(0, i);
-  // 4 of 10 dead: below the threshold, nothing happens.
-  for (int i = 0; i < 4; ++i) ring.NoteDead(0);
-  EXPECT_EQ(ring.NotedDead(0), 4u);
-  EXPECT_FALSE(ring.CompactIfStale(0, [](int64_t v) { return v >= 4; }));
-  EXPECT_EQ(ring.Size(0), 10u);
-  // The fifth dead note tips it over.
-  ring.NoteDead(0);
-  EXPECT_TRUE(ring.CompactIfStale(0, [](int64_t v) { return v >= 5; }));
-  EXPECT_EQ(ring.Size(0), 5u);
-  EXPECT_EQ(ring.NotedDead(0), 0u);
-  EXPECT_EQ(DrainToVector(ring, 0), (std::vector<int64_t>{5, 6, 7, 8, 9}));
-}
-
 TEST(EventRingTest, CompactionPreservesPushOrderAcrossChunkBoundaries) {
   Arena arena;
   EventRing<int64_t> ring(&arena, 1);
   const int64_t n = static_cast<int64_t>(ring.kChunkCapacity) * 4;
   for (int64_t i = 0; i < n; ++i) ring.Push(0, i);
-  // Kill every even item (half the bucket) and compact: survivors must be
-  // the odd items in their original relative order, repacked across fewer
-  // chunks.
-  for (int64_t i = 0; i < n / 2; ++i) ring.NoteDead(0);
-  ASSERT_TRUE(ring.CompactIfStale(0, [](int64_t v) { return v % 2 == 1; }));
+  // Filter out every even item (half the bucket): survivors must be the odd
+  // items in their original relative order, repacked across fewer chunks.
+  ASSERT_EQ(ring.Filter(0, [](int64_t v) { return v % 2 == 1; }),
+            static_cast<size_t>(n / 2));
   EXPECT_EQ(ring.Size(0), static_cast<size_t>(n / 2));
   const std::vector<int64_t> got = DrainToVector(ring, 0);
   ASSERT_EQ(got.size(), static_cast<size_t>(n / 2));
@@ -69,33 +51,15 @@ TEST(EventRingTest, CompactionRecyclesChunksInsteadOfAllocating) {
   const int64_t n = static_cast<int64_t>(ring.kChunkCapacity) * 8;
   for (int64_t i = 0; i < n; ++i) ring.Push(0, i);
   const int64_t chunks_after_fill = ring.chunks_allocated();
-  // Kill everything, compact (releases every chunk), refill: the freed
-  // chunks must be reused, not re-carved from the arena.
-  for (int64_t i = 0; i < n; ++i) ring.NoteDead(0);
-  ASSERT_TRUE(ring.CompactIfStale(0, [](int64_t) { return false; }));
+  // Filter out everything (releases every chunk), refill: the freed chunks
+  // must be reused, not re-carved from the arena.
+  ASSERT_EQ(ring.Filter(0, [](int64_t) { return false; }),
+            static_cast<size_t>(n));
   EXPECT_EQ(ring.Size(0), 0u);
   EXPECT_TRUE(ring.Empty(0));
   for (int64_t i = 0; i < n; ++i) ring.Push(0, i);
   EXPECT_EQ(ring.chunks_allocated(), chunks_after_fill);
   EXPECT_EQ(ring.Size(0), static_cast<size_t>(n));
-}
-
-TEST(EventRingTest, CompactEmptyBucketIsANoOp) {
-  Arena arena;
-  EventRing<int64_t> ring(&arena, 1);
-  EXPECT_FALSE(ring.CompactIfStale(0, [](int64_t) { return true; }));
-  EXPECT_EQ(ring.Size(0), 0u);
-}
-
-TEST(EventRingTest, DrainResetsDeadCounters) {
-  Arena arena;
-  EventRing<int64_t> ring(&arena, 1);
-  for (int64_t i = 0; i < 6; ++i) ring.Push(0, i);
-  ring.NoteDead(0);
-  ring.NoteDead(0);
-  EXPECT_EQ(ring.NotedDead(0), 2u);
-  ring.Drain(0, [](int64_t) {});
-  EXPECT_EQ(ring.NotedDead(0), 0u);
 }
 
 TEST(EventRingTest, VisitKeepsTheItemsInPushOrder) {
@@ -120,9 +84,8 @@ TEST(EventRingTest, FilterKeepsPushOrderWithoutADeadThreshold) {
   EventRing<int64_t> ring(&arena, 1);
   const int64_t n = static_cast<int64_t>(ring.kChunkCapacity) * 4;
   for (int64_t i = 0; i < n; ++i) ring.Push(0, i);
-  ring.NoteDead(0);
-  // One item in ten goes, far below CompactIfStale's half: Filter runs
-  // anyway, calls keep once per item in push order, and clears the note.
+  // One item in ten goes: Filter calls keep once per item, in push order,
+  // and rewrites the bucket however few items leave.
   std::vector<int64_t> asked;
   const size_t removed = ring.Filter(0, [&](int64_t v) {
     asked.push_back(v);
@@ -132,7 +95,6 @@ TEST(EventRingTest, FilterKeepsPushOrderWithoutADeadThreshold) {
   for (int64_t i = 0; i < n; ++i) EXPECT_EQ(asked[static_cast<size_t>(i)], i);
   EXPECT_EQ(removed, static_cast<size_t>((n + 9) / 10));
   EXPECT_EQ(ring.Size(0), static_cast<size_t>(n) - removed);
-  EXPECT_EQ(ring.NotedDead(0), 0u);
   std::vector<int64_t> expected;
   for (int64_t i = 0; i < n; ++i) {
     if (i % 10 != 0) expected.push_back(i);
@@ -171,9 +133,10 @@ TEST(EventRingTest, FilterRecyclesEmptiedChunks) {
 TEST(EventRingTest, SteadyCancelChurnIsAmortizedFlat) {
   Arena arena;
   EventRing<int64_t> ring(&arena, 1);
-  // Rolling population with continuous NoteDead + CompactIfStale pressure:
-  // after warm-up the chunk count must stop growing — compaction's chunk
-  // recycling is what keeps cancel-heavy runs allocation-free.
+  // Rolling population where every round pushes 64 items and filters out
+  // the 64 oldest: after warm-up the chunk count must stop growing —
+  // Filter's chunk recycling keeps a rolling dead population off the
+  // arena.
   int64_t next = 0;
   for (int64_t i = 0; i < 512; ++i) ring.Push(0, next++);
   int64_t dead_floor = 0;  // values below this are dead
@@ -182,8 +145,8 @@ TEST(EventRingTest, SteadyCancelChurnIsAmortizedFlat) {
     if (round == 20) warm_chunks = ring.chunks_allocated();
     for (int64_t i = 0; i < 64; ++i) ring.Push(0, next++);
     dead_floor += 64;
-    for (int64_t i = 0; i < 64; ++i) ring.NoteDead(0);
-    ring.CompactIfStale(0, [&](int64_t v) { return v >= dead_floor; });
+    ASSERT_EQ(ring.Filter(0, [&](int64_t v) { return v >= dead_floor; }),
+              64u);
   }
   EXPECT_GT(warm_chunks, 0);
   EXPECT_EQ(ring.chunks_allocated(), warm_chunks);
